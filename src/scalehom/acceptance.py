@@ -228,10 +228,8 @@ def criterion_7_tail():
     res = _run_tail_ensemble()
     ratios = []
     for lam2 in (9.0, 16.0, 25.0):
-        lam = np.sqrt(lam2)
-        r_rel = 0.1 * np.sqrt(lam) * np.exp(-np.sqrt(2.0 * np.log(lam)))
         ratios.append(proxysde.truncated_second_moment(
-            res.snapshots[lam2]["f2"], r_rel))
+            res.snapshots[lam2]["f2"], kolmogorov.relative_threshold(lam2, 0.1)))
     rep = kolmogorov.verify_tail(res.snapshots[25.0]["f2"], eps=0.2,
                                  lambda2=25.0, margin=0.1)
     # at the stated margin the truncation sits below the determinant floor

@@ -324,7 +324,7 @@ def cmd_tail_check(cfg: RunConfig, args) -> int:
     if args.margin is not None:
         sec["margin"] = args.margin
     t0 = time.perf_counter()
-    tcfg = kolmogorov.TailConfig(sec["tau"], sec["sigma_hat"])
+    tcfg = kolmogorov.TailConfig(sec["tau"], sec["sigma_hat"], regime_margin=sec["margin"])
     ramp = kolmogorov.RampEvolution(tcfg.sigma_hat)
     grid = tcfg.grid()[:: max(1, tcfg.n_sigma // 2000)]
     slices = np.linspace(0.0, tcfg.tau, 5)
@@ -338,6 +338,7 @@ def cmd_tail_check(cfg: RunConfig, args) -> int:
         "tau": tcfg.tau, "sigma_hat": tcfg.sigma_hat,
         "zeta_at_origin": kolmogorov.zeta_at_origin(tcfg),
         "i1": terms.i1, "i2": terms.i2, "margin": sec["margin"],
+        "regime_ok": kolmogorov.in_regime(tcfg, np.exp(tcfg.tau)),
     }
     spath = out / "tail_summary.json"
     atomic_write(spath, json.dumps(summary, indent=2, sort_keys=True) + "\n")

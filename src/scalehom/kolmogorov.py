@@ -18,12 +18,14 @@ whose backward semigroup evaluates the terminal data at displaced points:
 
 The terminal data is a C^2 ramp: 1 below ``sigma_hat``, a quintic smoothstep
 down to 0 over one unit.  Two evolution paths are provided: a grid
-convolution (``evolve``) for arbitrary profiles, and an analytic
-kernel-quadrature evaluator (``RampEvolution``) exploiting the unit-width
-ramp, which stays accurate for times-to-go in the hundreds.  Combining the
-evolved observable with Monte Carlo samples of |F|^2 bounds the mass of
-|F|^2 below a threshold far under its mean, which is the
-non-equi-integrability mechanism.
+convolution (``evolve``) for arbitrary profiles, and ``RampEvolution``, which
+evaluates the evolved ramp and its first two derivatives together: a normal
+tail plus the quintic integrated against the Gaussian over the unit ramp
+window, in closed form from truncated Gaussian moments for narrow kernels and
+by a window quadrature for wide ones, so it stays accurate for times-to-go in
+the hundreds.  Combining the evolved observable with Monte Carlo samples of
+|F|^2 bounds the mass of |F|^2 below a threshold far under its mean, which is
+the non-equi-integrability mechanism.
 """
 
 from __future__ import annotations
@@ -31,12 +33,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .momentodes import envelope_constants
 from .tensor2d import BULLET_OPNORM
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+_SQRT_2PI = np.sqrt(2.0 * np.pi)
+#: widest kernel evaluated in closed form: the moment sums cancel digits as the
+#: kernel widens, so wider kernels use the window quadrature
+_CLOSED_FORM_MAX_STD = 1.3
 
 #: sharp derivative bounds of the quintic smoothstep ramp on its unit support
 SMOOTHSTEP_D1_MAX = 15.0 / 8.0
@@ -145,53 +151,57 @@ def evolve(profile: TailProfile, dtau: float) -> TailProfile:
 
 
 class RampEvolution:
-    """Kernel-quadrature evaluation of the evolved ramp family.
+    """The evolved ramp family: value, d1 and d2 in ``sig`` at a time-to-go.
 
-    Exploits the unit support of the terminal ramp derivatives: every
-    evaluation is a normal tail plus a Gaussian-weighted integral over [0, 1]
-    split at the kernel window, so cost and accuracy are independent of the
-    time-to-go.
+    With c = sig + s/4 - sigma_hat and std = sqrt(s/2), the evolved value is
+    the normal tail Phi(-c/std) plus the quintic q(t) = 1 - 10t^3 + 15t^4 - 6t^5
+    integrated against N(c, std^2) over the unit window [0, 1]; the
+    derivatives integrate q' and q'' (the ramp is C^1, so no boundary terms).
+    For std <= 1.3 the window integrals are sums of the truncated Gaussian
+    moments of t over the window, exact up to rounding.  Wider kernels, where
+    the moment recurrence cancels digits, use a 48-node Gauss-Legendre rule
+    on the window clipped to +-8 std, over which the integrand is smooth.
     """
 
     def __init__(self, sigma_hat: float):
         self.sigma_hat = sigma_hat
 
-    def _ramp_integral(self, fn, center: np.ndarray, std: float) -> np.ndarray:
-        """int_0^1 fn(t) N(sigma_hat + t; center, std^2) dt, vectorized."""
-        center = np.atleast_1d(np.asarray(center, dtype=float))
+    def value(self, time_to_go: float, sig: np.ndarray) -> np.ndarray:
+        return _like(self._evaluate(time_to_go, sig)[0], sig)
+
+    def d1(self, time_to_go: float, sig: np.ndarray) -> np.ndarray:
+        return _like(self._evaluate(time_to_go, sig)[1], sig)
+
+    def d2(self, time_to_go: float, sig: np.ndarray) -> np.ndarray:
+        return _like(self._evaluate(time_to_go, sig)[2], sig)
+
+    def _evaluate(self, time_to_go: float, sig: np.ndarray):
+        """(value, d1, d2) at the points ``sig``, as 1-d arrays."""
+        sig = np.atleast_1d(np.asarray(sig, dtype=float))
+        if time_to_go == 0.0:
+            t = sig - self.sigma_hat
+            return smoothstep(t), smoothstep_d1(t), smoothstep_d2(t)
+        center = sig + time_to_go / 4.0
+        std = np.sqrt(time_to_go / 2.0)
+        plateau = ndtr((self.sigma_hat - center) / std)
+        if std <= _CLOSED_FORM_MAX_STD:
+            v, d1, d2 = _window_moments(center - self.sigma_hat, std)
+        else:
+            v, d1, d2 = self._window_quadrature(center, std)
+        return plateau + v, d1, d2
+
+    def _window_quadrature(self, center: np.ndarray, std: float):
+        """int_0^1 fn(t) N(sigma_hat + t; center, std^2) dt for fn = q, q', q''."""
         lo = np.clip(center - 8.0 * std - self.sigma_hat, 0.0, 1.0)
         hi = np.clip(center + 8.0 * std - self.sigma_hat, 0.0, 1.0)
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         t = mid[:, None] + half[:, None] * _GL_NODES[None, :]
         w = half[:, None] * _GL_WEIGHTS[None, :]
-        dens = norm.pdf(self.sigma_hat + t, loc=center[:, None], scale=std)
-        return np.sum(w * fn(t) * dens, axis=1)
-
-    def value(self, time_to_go: float, sig: np.ndarray) -> np.ndarray:
-        if time_to_go == 0.0:
-            return smoothstep(np.asarray(sig) - self.sigma_hat)
-        center = np.asarray(sig) + time_to_go / 4.0
-        std = np.sqrt(time_to_go / 2.0)
-        plateau = norm.cdf((self.sigma_hat - center) / std)
-        out = plateau + self._ramp_integral(smoothstep, center, std)
-        return out if np.ndim(sig) else float(out[0])
-
-    def d1(self, time_to_go: float, sig: np.ndarray) -> np.ndarray:
-        if time_to_go == 0.0:
-            return smoothstep_d1(np.asarray(sig) - self.sigma_hat)
-        center = np.asarray(sig) + time_to_go / 4.0
-        std = np.sqrt(time_to_go / 2.0)
-        out = self._ramp_integral(smoothstep_d1, center, std)
-        return out if np.ndim(sig) else float(out[0])
-
-    def d2(self, time_to_go: float, sig: np.ndarray) -> np.ndarray:
-        if time_to_go == 0.0:
-            return smoothstep_d2(np.asarray(sig) - self.sigma_hat)
-        center = np.asarray(sig) + time_to_go / 4.0
-        std = np.sqrt(time_to_go / 2.0)
-        out = self._ramp_integral(smoothstep_d2, center, std)
-        return out if np.ndim(sig) else float(out[0])
+        y = (self.sigma_hat + t - center[:, None]) / std
+        dens = np.exp(-y ** 2 / 2.0) / _SQRT_2PI / std
+        return tuple(np.sum(w * fn(t) * dens, axis=1)
+                     for fn in (smoothstep, smoothstep_d1, smoothstep_d2))
 
     def observable_values(self, tau: float, tau_prime: float,
                           r: np.ndarray) -> np.ndarray:
@@ -204,12 +214,39 @@ class RampEvolution:
         return out
 
 
+def _like(out: np.ndarray, sig) -> np.ndarray | float:
+    return out if np.ndim(sig) else float(out[0])
+
+
+def _window_moments(c: np.ndarray, std: float):
+    """int_0^1 fn(t) N(t; c, std^2) dt for fn = q, q', q'' in closed form.
+
+    From the window moments T_k = int_0^1 t^k N(t; c, std^2) dt, which follow
+    from integrating t^k (t - c) N by parts:
+    T_{k+1} = c T_k + std^2 (k T_{k-1} - N(1) + [k = 0] N(0)).
+    """
+    a = -c / std
+    b = (1.0 - c) / std
+    n0 = np.exp(-0.5 * a * a) / _SQRT_2PI / std
+    n1 = np.exp(-0.5 * b * b) / _SQRT_2PI / std
+    # Phi(b) - Phi(a), taken as Phi(-a) - Phi(-b) in the upper tail
+    upper = a > 0.0
+    t = [ndtr(np.where(upper, -a, b)) - ndtr(np.where(upper, -b, a))]
+    var = std * std
+    t.append(c * t[0] + var * (n0 - n1))
+    for k in range(1, 5):
+        t.append(c * t[k] + var * (k * t[k - 1] - n1))
+    return (t[0] - 10.0 * t[3] + 15.0 * t[4] - 6.0 * t[5],
+            -30.0 * t[2] + 60.0 * t[3] - 30.0 * t[4],
+            -60.0 * t[1] + 180.0 * t[2] - 120.0 * t[3])
+
+
 def phi_upper_bound(cfg: TailConfig, tau_prime: float, sig: float) -> float:
     """Normal-tail majorant from replacing the ramp by a sharp cutoff."""
     s = cfg.tau - tau_prime
     if s <= 0.0:
         return 1.0
-    return float(norm.cdf((cfg.sigma_hat + 1.0 - sig - s / 4.0) / np.sqrt(s / 2.0)))
+    return float(ndtr((cfg.sigma_hat + 1.0 - sig - s / 4.0) / np.sqrt(s / 2.0)))
 
 
 def zeta_at_origin(cfg: TailConfig) -> float:
@@ -257,26 +294,26 @@ def bound_terms(cfg: TailConfig, n_tau: int = 200, n_scan: int = 800) -> BoundTe
         lo = cfg.sigma_hat - s / 4.0 - 8.0 * std - 1.0
         hi = cfg.sigma_hat + 1.0 - s / 4.0 + 8.0 * std + 1.0
         sig = np.linspace(lo, hi, n_scan)
-        m21 = np.max(np.abs(ramp.d2(s, sig) + ramp.d1(s, sig)))
-        m10 = max(np.max(np.abs(ramp.d1(s, sig) + ramp.value(s, sig))), 1.0)
+        value, d1, d2 = ramp._evaluate(s, sig)
+        m21 = np.max(np.abs(d2 + d1))
+        m10 = max(np.max(np.abs(d1 + value)), 1.0)
         f1[i] = np.exp(-tp / 2.0) * m21
         f2[i] = np.exp(-1.5 * tp) * m10
     return BoundTerms(float(np.trapezoid(f1, taus)), float(np.trapezoid(f2, taus)), cfg.tau)
 
 
-def tail_config_for(eps: float, lambda2: float, margin: float = 0.1,
-                    **kwargs) -> tuple[TailConfig, float]:
-    """Canonical truncation for the non-equi-integrability test.
-
-    Returns the config whose log-threshold matches the relative truncation
-    ``r_rel = margin * sqrt(lam) * exp(-sqrt(2 ln lam))`` applied to the
-    second moment in its self-similar normalization E|F|^2 ~ 2 lam, together
-    with ``r_rel`` itself.
-    """
+def relative_threshold(lambda2: float, margin: float) -> float:
+    """Relative truncation ``r_rel = margin * sqrt(lam) * exp(-sqrt(2 ln lam))``
+    of |F|^2 against its mean, lam = sqrt(lambda2); at unit margin it is the
+    admissible scale of the smallness regime."""
     lam = np.sqrt(lambda2)
-    r_rel = margin * np.sqrt(lam) * np.exp(-np.sqrt(2.0 * np.log(lam)))
-    sigma_hat = float(np.log(2.0 * r_rel))     # threshold r_rel * 2 lam, over lam
-    return TailConfig(float(np.log(lambda2)), sigma_hat, **kwargs), float(r_rel)
+    return float(margin * np.sqrt(lam) * np.exp(-np.sqrt(2.0 * np.log(lam))))
+
+
+def in_regime(cfg: TailConfig, lambda2: float) -> bool:
+    """Whether the truncation exp(sigma_hat) lies within ``cfg.regime_margin``
+    times the admissible scale at ``lambda2`` (the e^tau of ``cfg``)."""
+    return bool(np.exp(cfg.sigma_hat) <= cfg.regime_margin * relative_threshold(lambda2, 1.0))
 
 
 @dataclass
@@ -321,7 +358,7 @@ def verify_tail(samples_f2: np.ndarray, eps: float, lambda2: float,
     if samples_f2.size == 0:
         raise ValueError("empty sample set")
     lam = np.sqrt(lambda2)
-    r_rel = margin * np.sqrt(lam) * np.exp(-np.sqrt(2.0 * np.log(lam)))
+    r_rel = relative_threshold(lambda2, margin)
     mean_f2 = float(samples_f2.mean())
 
     below = samples_f2 <= r_rel * mean_f2
@@ -346,14 +383,14 @@ def verify_tail(samples_f2: np.ndarray, eps: float, lambda2: float,
     rhs = z0 + c1 * terms.i1 + c2 * eps ** 2 * terms.i2
 
     warnings = []
-    bound = np.sqrt(lam) * np.exp(-np.sqrt(2.0 * np.log(lam)))
-    regime_ok = np.exp(cfg.sigma_hat) <= cfg.regime_margin * bound
+    regime_ok = in_regime(cfg, lambda2)
     if not regime_ok:
         warnings.append(
             f"truncation exp(sigma_hat) = {np.exp(cfg.sigma_hat):.3g} exceeds "
-            f"{cfg.regime_margin} * admissible scale {bound:.3g}")
+            f"{cfg.regime_margin} * admissible scale "
+            f"{relative_threshold(lambda2, 1.0):.3g}")
     chain_ok = (lhs <= e_zeta + 3.0 * se_zeta + 1e-12) \
         and (e_zeta <= rhs + 3.0 * se_zeta + 1e-12)
     return TailReport(eps, cfg.tau, r_rel, ratio, lhs, e_zeta, se_zeta, z0,
                       terms.i1, terms.i2, float(c1), float(c2), float(rhs),
-                      bool(chain_ok), bool(regime_ok), warnings)
+                      bool(chain_ok), regime_ok, warnings)

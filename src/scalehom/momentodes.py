@@ -58,6 +58,9 @@ class MomentVector:
     det: float = 1.0
 
     def validate(self) -> None:
+        if not np.all(np.isfinite([self.x, self.a_resc, self.b_resc, self.big_a,
+                                   self.big_b, self.det2, self.det])):
+            raise ValueError("moments must be finite")
         if min(self.a_resc, self.b_resc, self.big_a, self.big_b, self.det2) < 0:
             raise ValueError("even moments must be nonnegative")
         if self.b_resc < self.a_resc ** 2 - 1e-12:

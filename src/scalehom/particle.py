@@ -92,6 +92,8 @@ class MsdEstimate:
         return np.sqrt(np.sum(self.se ** 2, axis=0))
 
     def validate(self) -> None:
+        if not (np.all(np.isfinite(self.msd)) and np.all(np.isfinite(self.se))):
+            raise FloatingPointError("non-finite mean-square displacement or error")
         if np.any(self.msd < 0.0):
             raise FloatingPointError("negative mean-square displacement")
         slack = 3.0 * np.sqrt(self.se[:, 1:] ** 2 + self.se[:, :-1] ** 2)
@@ -117,7 +119,11 @@ def euler_maruyama(drift: DriftField, dt: float, t_end: float, n_paths: int,
         raise ValueError("need 0 < dt <= 0.1 to resolve the drift scale")
     if sample_times is None:
         sample_times = default_sample_times(dt, t_end)
-    sample_idx = np.round(np.asarray(sample_times) / dt).astype(np.int64)
+    sample_times = np.asarray(sample_times, dtype=float)
+    sample_idx = np.round(sample_times / dt).astype(np.int64)
+    if sample_idx.min() < 1 or len(np.unique(sample_idx)) < len(sample_idx):
+        raise ValueError(f"sample times {sample_times.tolist()} must fall on distinct "
+                         f"steps of size {dt} after the start")
     n_steps = int(sample_idx.max())
     root2dt = np.sqrt(2.0 * dt)
 

@@ -134,6 +134,8 @@ class MomentSeries:
         return self.ses[:, MOMENT_NAMES.index(name)]
 
     def validate(self) -> None:
+        if not (np.all(np.isfinite(self.means)) and np.all(np.isfinite(self.ses))):
+            raise FloatingPointError("non-finite moment or standard error")
         for name in ("phi2_resc", "phi4_resc", "f2", "f4", "det2"):
             if np.any(self.column(name) < 0.0):
                 raise FloatingPointError(f"negative even moment {name}")

@@ -140,6 +140,20 @@ class TestOtherCommands:
         assert summary["tau"] == 4.0 and summary["sigma_hat"] == -2.0
         assert summary["i1"] > 0.0
 
+    def test_tail_check_margin_decides_regime(self, tmp_path):
+        # at the shipped [tail] point exp(sigma_hat) is 0.1002 of the
+        # admissible scale, so the verdict flips between these margins
+        path = small_config(tmp_path)
+        verdicts = {}
+        for margin in ("0.05", "5"):
+            out = tmp_path / f"tail_{margin}"
+            assert cli.dispatch(["tail-check", "--config", str(path), "--out", str(out),
+                                 "--margin", margin]) == 0
+            summary = json.loads((out / "tail_summary.json").read_text())
+            assert summary["margin"] == float(margin)
+            verdicts[margin] = summary["regime_ok"]
+        assert verdicts == {"0.05": False, "5": True}
+
     def test_qv_check(self, tmp_path):
         path = small_config(tmp_path)
         out = tmp_path / "qv"

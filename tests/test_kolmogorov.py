@@ -1,5 +1,11 @@
 """Backward-equation machinery: kernel, bounds, and the sample-based chain."""
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -116,6 +122,45 @@ class TestEvolve:
         assert np.allclose(zeta[plateau], r[plateau] / lam, rtol=1e-12)
 
 
+_REF_NODES, _REF_WEIGHTS = np.polynomial.legendre.leggauss(200)
+
+
+def _reference_ramp(sigma_hat, s, sig):
+    """(value, d1, d2) of the evolved ramp by a 200-node rule on the unit
+    window clipped to +-8 kernel standard deviations, plus the normal tail."""
+    c = sig + s / 4.0 - sigma_hat
+    std = math.sqrt(s / 2.0)
+    lo, hi = np.clip(c - 8.0 * std, 0.0, 1.0), np.clip(c + 8.0 * std, 0.0, 1.0)
+    t = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _REF_NODES
+    w = 0.5 * (hi - lo)[:, None] * _REF_WEIGHTS
+    w = w * np.exp(-0.5 * ((t - c[:, None]) / std) ** 2) / (std * math.sqrt(2.0 * math.pi))
+    tail = np.array([0.5 * math.erfc(x / (std * math.sqrt(2.0))) for x in c])
+    return (tail + np.sum(w * (1.0 - 10.0 * t ** 3 + 15.0 * t ** 4 - 6.0 * t ** 5), axis=1),
+            np.sum(w * (-30.0 * t ** 2 + 60.0 * t ** 3 - 30.0 * t ** 4), axis=1),
+            np.sum(w * (-60.0 * t + 180.0 * t ** 2 - 120.0 * t ** 3), axis=1))
+
+
+class TestRampEvolution:
+    @pytest.mark.parametrize("s", [1e-6, 0.01, 0.5, math.log(25.0), 25.0, 100.0, 400.0])
+    def test_matches_reference_quadrature(self, s):
+        # over the scan window of bound_terms, on both sides of the switch
+        # from the closed form to the window quadrature
+        sigma_hat = -1.0
+        std = math.sqrt(s / 2.0)
+        sig = np.linspace(sigma_hat - s / 4.0 - 8.0 * std - 1.0,
+                          sigma_hat + 1.0 - s / 4.0 + 8.0 * std + 1.0, 800)
+        ramp = ko.RampEvolution(sigma_hat)
+        got = (ramp.value(s, sig), ramp.d1(s, sig), ramp.d2(s, sig))
+        for g, r in zip(got, _reference_ramp(sigma_hat, s, sig)):
+            assert np.max(np.abs(g - r)) <= 1e-12
+
+    def test_scalar_points_give_floats(self):
+        ramp = ko.RampEvolution(0.0)
+        for s in (0.0, 1.0, 25.0):
+            assert isinstance(ramp.value(s, 0.3), float)
+            assert ramp.d1(s, 0.3) == ramp.d1(s, np.array([0.3]))[0]
+
+
 class TestPhiBound:
     def test_majorizes_profile_everywhere(self, base_profile):
         cfg, prof = base_profile
@@ -213,3 +258,34 @@ class TestVerifyTail:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ko.verify_tail(np.array([]), eps=0.2, lambda2=9.0)
+
+    @pytest.mark.parametrize("margin, pinned, verdicts", [
+        (0.1, (1.1078868372978419, 0.6614809831690601, 0.005094895314451847,
+               0.7184822927404231), (True, True)),
+        (1.0, (1.1078868372978419, 0.6614809831690601, 0.314623193385175,
+               1.028010590811146), (True, False)),
+    ])
+    def test_pinned_chain(self, margin, pinned, verdicts):
+        # values from the kernel-quadrature evaluator this module used before
+        # the closed form; a seeded lognormal sample stands in for |F|^2
+        f2 = 10.0 * np.random.default_rng(20240419).lognormal(-0.5, 1.0, 20_000)
+        rep = ko.verify_tail(f2, eps=0.2, lambda2=25.0, margin=margin)
+        assert (rep.i1, rep.i2, rep.z0, rep.rhs) == pytest.approx(pinned, rel=1e-10, abs=0.0)
+        assert (rep.chain_ok, rep.regime_ok) == verdicts
+
+
+def test_relative_threshold_formula():
+    lam = 5.0
+    assert ko.relative_threshold(25.0, 0.1) == \
+        0.1 * np.sqrt(lam) * np.exp(-np.sqrt(2.0 * np.log(lam)))
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, scalehom; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -179,6 +179,10 @@ class TestMomentVector:
         with pytest.raises(ValueError):
             mo.MomentVector(2.0, -0.1, 0.5, 2.0, 4.0, 1.0).validate()
 
+    def test_validate_rejects_nan(self):
+        with pytest.raises(ValueError):
+            mo.MomentVector(2.0, np.nan, 0.5, 2.0, 4.0, 1.0).validate()
+
 
 class TestClosureSource:
     def test_bound_mode_zero_terms(self):

@@ -61,6 +61,20 @@ class TestEulerMaruyama:
         with pytest.raises(ValueError):
             pa.euler_maruyama(drift_env, 0.2, 10.0, 100, stream(2, "x"))
 
+    def test_rejects_sample_times_off_distinct_steps(self):
+        # 0 rounds to step 0 and 0.5, 0.52 to the same step: their columns
+        # would never be filled
+        drift = pa.DriftField.zero(TorusGrid(32, 20.0))
+        with pytest.raises(ValueError, match="distinct"):
+            pa.euler_maruyama(drift, 0.1, 1.0, 100, stream(2, "t"),
+                              sample_times=np.array([0.0, 0.5, 0.52, 1.0]))
+
+    def test_validate_rejects_nan(self):
+        est = pa.MsdEstimate(np.array([1.0, 2.0]), np.full((2, 2), np.nan),
+                             np.ones((2, 2)), 10)
+        with pytest.raises(FloatingPointError):
+            est.validate()
+
     def test_monotone_within_noise(self, drift_env):
         est = pa.euler_maruyama(drift_env, 0.1, 50.0, 20_000, stream(4, "m"))
         est.validate()

@@ -146,6 +146,13 @@ class TestMomentSeriesView:
         assert np.all(s.column("phi4_resc") >= s.column("phi2_resc") ** 2 - 1e-15)
 
 
+    def test_validate_rejects_nan(self):
+        nan = np.full((2, 9), np.nan)
+        s = proxysde.MomentSeries(0.2, np.array([1.0, 2.0]), 10, nan, nan.copy())
+        with pytest.raises(FloatingPointError):
+            s.validate()
+
+
 class TestTruncatedMoment:
     def test_limits(self):
         samples = np.random.default_rng(0).lognormal(0.0, 1.0, 20_000)
