@@ -446,13 +446,17 @@ def cmd_qv_check(cfg: RunConfig, args) -> int:
 
 def cmd_accept(cfg: RunConfig, args) -> int:
     seed, _, out = _run_common(cfg, args)
+    if seed != acceptance.SEED:
+        print(f"config error: accept runs at the fixed seed {acceptance.SEED} "
+              f"(acceptance.SEED), not {seed}", file=sys.stderr)
+        return 1
     t0 = time.perf_counter()
     results = acceptance.run_all(verbose=True)
     path = out / "accept.json"
     payload = {r.name: r.payload() for r in results}
     payload["all_pass"] = all(r.passed for r in results)
     atomic_write(path, json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
-    write_sidecar(path, cfg, seed, time.perf_counter() - t0)
+    write_sidecar(path, cfg, acceptance.SEED, time.perf_counter() - t0)
     print(f"wrote {path}")
     return 0 if payload["all_pass"] else 2
 

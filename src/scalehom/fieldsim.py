@@ -6,7 +6,7 @@ increments are synthesized spectrally per shell (annulus ``1/l_hi < |k| <=
 matches the continuum ``eps^2 ln(l_hi/l_lo)`` exactly), driver fields are
 obtained through the Helmholtz multiplier ``i (Jk)*/(lam |k|^2)`` and its
 derivative multipliers, and the corrector pair (phi, F) is advanced by the
-same pointwise update as the trajectory integrator, here in raw variables
+same pointwise Euler kernel as the trajectory integrator, here in raw variables
 (field mode targets moderate cutoff scales where L^2 is representable).
 
 Shells are geometric in the cutoff scale with ratio 2^(1/4), i.e. uniform in
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .proxysde import MOMENT_NAMES, _moments
+from .proxysde import MOMENT_NAMES, euler_update, increment_planes, moment_planes
 from .rng import stream
 
 _MAGIC = b"SHOM"
@@ -162,17 +162,16 @@ class FieldState:
 
 
 def step_fields(state: FieldState, drv: DriverFields) -> FieldState:
-    """Pointwise Euler update, identical to the trajectory integrator."""
-    f_new = state.f + np.einsum('ci...,ij...->cj...', drv.grad, state.f) \
-        + np.einsum('cji...,i...->cj...', drv.hess, state.phi)
-    phi_new = state.phi + drv.dphi \
-        + np.einsum('ci...,i...->c...', drv.grad, state.phi)
-    if not np.all(np.isfinite(f_new)):
-        loc = [int(v) for v in np.argwhere(~np.isfinite(f_new))[0]]
+    """Pointwise Euler update: :func:`proxysde.euler_update` on the grid planes
+    in raw variables (no damping), on copies of the state."""
+    phi, f = state.phi.copy(), state.f.copy()
+    euler_update(phi, f, increment_planes(drv.dphi, drv.grad, drv.hess))
+    if not np.all(np.isfinite(f)):
+        loc = [int(v) for v in np.argwhere(~np.isfinite(f))[0]]
         raise FloatingPointError(
             f"non-finite Jacobian component ({loc[0]}, {loc[1]}) at grid node "
             f"({loc[2]}, {loc[3]}), lam2 = {state.lambda2 + drv.dlambda2}")
-    return FieldState(phi_new, f_new, state.lambda2 + drv.dlambda2)
+    return FieldState(phi, f, state.lambda2 + drv.dlambda2)
 
 
 @dataclass(frozen=True)
@@ -240,10 +239,11 @@ def run_field_ensemble(cfg: FieldConfig, keep_final: bool = False) -> FieldRunRe
     qv_hess = np.empty((cfg.n_samples, n_shells))
     probe_f2 = np.empty((cfg.n_samples, cfg.n_probe_points))
     final_state = None
+    buf = np.empty((9, cfg.n * cfg.n))
 
     for s in range(cfg.n_samples):
         state = FieldState.initial(grid)
-        moment_samples[s, 0] = _spatial_moments(state, cfg.eps)
+        moment_samples[s, 0] = _spatial_moments(state, cfg.eps, buf)
         for j in range(n_shells):
             rng = stream(cfg.seed, "field-sim", s, counter=j)
             shell = sample_shell_field(grid, ladder[j], ladder[j + 1], cfg.eps, rng)
@@ -254,7 +254,7 @@ def run_field_ensemble(cfg: FieldConfig, keep_final: bool = False) -> FieldRunRe
             qv_hess[s, j] = np.mean(np.sum(drv.hess[:, :, 0] ** 2, axis=(0, 1)))
             state = step_fields(state, drv)
             state.lambda2 = lam2_pts[j + 1]
-            moment_samples[s, j + 1] = _spatial_moments(state, cfg.eps)
+            moment_samples[s, j + 1] = _spatial_moments(state, cfg.eps, buf)
         f2_grid = np.sum(state.f ** 2, axis=(0, 1))
         probe_f2[s] = f2_grid[probes[:, 0], probes[:, 1]]
         if keep_final and s == 0:
@@ -263,13 +263,10 @@ def run_field_ensemble(cfg: FieldConfig, keep_final: bool = False) -> FieldRunRe
                           qv_hess, probe_f2, l_mids, final_state)
 
 
-def _spatial_moments(state: FieldState, eps: float) -> np.ndarray:
+def _spatial_moments(state: FieldState, eps: float, buf: np.ndarray) -> np.ndarray:
     """Spatial means of the nine tracked quantities, corrector rescaled by L."""
-    n2 = state.phi.shape[1] * state.phi.shape[2]
     ln_l = (state.lambda2 - 1.0) / eps ** 2 if eps > 0 else 0.0
-    phi = (state.phi * np.exp(-ln_l)).reshape(2, n2).T
-    f = np.moveaxis(state.f.reshape(2, 2, n2), -1, 0)
-    return _moments(phi, np.ascontiguousarray(f)).mean(axis=0)
+    return moment_planes(state.phi * np.exp(-ln_l), state.f, buf).mean(axis=1)
 
 
 @dataclass

@@ -24,7 +24,9 @@ with the whole-step increment covariance integrated exactly over the step
 (see :func:`scalehom.shellcov.step_covariance`); coefficients are frozen at
 the left endpoint, giving a weak first-order scheme.  In ``exp`` mode the
 Hessian feedback is dropped and F becomes a pure matrix stochastic
-exponential with unit determinant.
+exponential with unit determinant.  :func:`euler_update` is the one
+implementation of this step, on component planes (phi^0, phi^1, F00, F01,
+F10, F11) of any batch shape; the field mode uses it too.
 
 Trajectories are embarrassingly parallel: they are processed in fixed-size
 blocks, each block drawing from its own counter-based stream keyed by
@@ -35,7 +37,6 @@ is identical for any worker count.
 from __future__ import annotations
 
 import csv
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -97,12 +98,6 @@ class ProxyState:
     phi: np.ndarray
     f: np.ndarray
     lambda2: float
-
-    @classmethod
-    def initial(cls, n: int | None = None) -> "ProxyState":
-        if n is None:
-            return cls(np.zeros(2), np.eye(2), 1.0)
-        return cls(np.zeros((n, 2)), np.tile(np.eye(2), (n, 1, 1)), 1.0)
 
 
 @dataclass
@@ -166,66 +161,99 @@ class EnsembleResult:
     snapshots: dict = field(default_factory=dict)   # lambda2 -> {"f2": ..., "det": ...}
 
 
+def euler_update(phi: np.ndarray, f: np.ndarray, inc, damp=1.0,
+                 full: bool = True) -> None:
+    """The Euler step of the module docstring, in place on component planes.
+
+    ``phi`` (2, ...) and ``f`` (2, 2, ...) hold the state component-major for
+    any batch shape; ``inc`` is the 11 increment planes of
+    :func:`shellcov.components_to_fields` (g11 = -g00).  ``damp`` is
+    exp(-dlam2/eps^2) for the stored phi/L and 1 in raw variables (field
+    mode); ``full=False`` drops the Hessian term (``exp`` mode).
+    """
+    p0, p1 = phi[0, ...], phi[1, ...]
+    f00, f01, f10, f11 = f[0, 0, ...], f[0, 1, ...], f[1, 0, ...], f[1, 1, ...]
+    d0, d1, g00, g01, g10 = inc[:5]
+    g11 = -g00
+    new = [_acc(f00, g00, f00, g01, f10), _acc(f01, g00, f01, g01, f11),
+           _acc(f10, g10, f00, g11, f10), _acc(f11, g10, f01, g11, f11)]
+    if full:
+        h000, h001, h011, h100, h101, h111 = inc[5:]
+        new = [_acc(new[0], h000, p0, h001, p1), _acc(new[1], h001, p0, h011, p1),
+               _acc(new[2], h100, p0, h101, p1), _acc(new[3], h101, p0, h111, p1)]
+    q0, q1 = _acc(p0, g00, p0, g01, p1), _acc(p1, g10, p0, g11, p1)
+    phi[0, ...], phi[1, ...] = damp * q0 + d0, damp * q1 + d1
+    f[0, 0, ...], f[0, 1, ...], f[1, 0, ...], f[1, 1, ...] = new
+
+
+def _acc(c, a, x, b, y):
+    """c + (a x + b y), accumulated in one fresh array."""
+    t = a * x
+    t += b * y
+    t += c
+    return t
+
+
+def increment_planes(dphi: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> list:
+    """The 11 increment planes from component-major (dphi, grad, hess) arrays.
+
+    Raises ``ValueError`` unless the gradient is trace free, as the kernel
+    assumes.
+    """
+    if np.any(grad[0, 0] != -grad[1, 1]):
+        raise ValueError("gradient increment must be trace free")
+    return [dphi[0, ...], dphi[1, ...], grad[0, 0, ...], grad[0, 1, ...],
+            grad[1, 0, ...], *(hess[s + (...,)] for s in shellcov.HESS_SLOTS)]
+
+
+def moment_planes(phi: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The nine tracked quantities at each of m points, written to ``out`` (9, m).
+
+    ``phi`` (2, ...) and ``f`` (2, 2, ...) are component-major.  The closure
+    terms bullet(sym(M (x) phi)) for M = F and M = adj(F)^T expand
+    ``tensor2d._BULLET_GRAM6`` by hand: with d = M00 - M11, r = M01 - M10,
+
+        bullet = ((d phi1 + r phi0)^2 + (d phi0 + r phi1)^2) / 16
+                 + ((M01 phi1)^2 + (M10 phi0)^2) / 4.
+    """
+    p0, p1 = phi.reshape(2, -1)
+    f00, f01, f10, f11 = f.reshape(4, -1)
+    out[0] = p0 * p0 + p1 * p1
+    out[2] = f00 * f00 + f01 * f01 + f10 * f10 + f11 * f11
+    out[4] = f00 * f11 - f01 * f10
+    out[1], out[3], out[5], out[6] = out[0] ** 2, out[2] ** 2, out[4] ** 2, out[0] * out[2]
+    d, r = f00 - f11, f01 - f10
+    dp0, dp1, rp0, rp1 = d * p0, d * p1, r * p0, r * p1
+    out[7] = ((dp1 + rp0) ** 2 + (dp0 + rp1) ** 2) / 16 \
+        + ((f01 * p1) ** 2 + (f10 * p0) ** 2) / 4
+    out[8] = ((rp0 - dp1) ** 2 + (rp1 - dp0) ** 2) / 16 \
+        + ((f10 * p1) ** 2 + (f01 * p0) ** 2) / 4
+    return out
+
+
+def _leading(a: np.ndarray, k: int) -> np.ndarray:
+    """View with the last ``k`` (component) axes moved to the front."""
+    return np.moveaxis(a, tuple(range(-k, 0)), tuple(range(k)))
+
+
 def step(state: ProxyState, inc: shellcov.DriverIncrement, eps: float,
          mode: str = "full") -> ProxyState:
-    """One Euler step; coefficients frozen at the incoming state (Ito).
+    """One Euler step (:func:`euler_update`) of a single or batched state.
 
     Aborts with ``FloatingPointError`` if the updated state is not finite.
     """
-    phi, f = np.asarray(state.phi, dtype=float), np.asarray(state.f, dtype=float)
-    batched = phi.ndim == 2
-    sub = "n" if batched else ""
-    f_new = f + np.einsum(f"{sub}ci,{sub}ij->{sub}cj", inc.grad, f)
-    if mode == "full":
-        f_new = f_new + np.einsum(f"{sub}cji,{sub}i->{sub}cj", inc.hess, phi)
+    phi, f = np.array(state.phi, dtype=float), np.array(state.f, dtype=float)
     damp = np.exp(-inc.dlambda2 / eps ** 2) if eps > 0.0 else 0.0
-    phi_new = damp * (phi + np.einsum(f"{sub}ci,{sub}i->{sub}c", inc.grad, phi)) + inc.dphi
-    if not (np.all(np.isfinite(f_new)) and np.all(np.isfinite(phi_new))):
-        bad = np.argwhere(~np.isfinite(f_new).all(axis=(-2, -1)) if batched
-                          else ~np.isfinite(f_new))
+    planes = increment_planes(_leading(inc.dphi, 1), _leading(inc.grad, 2),
+                              _leading(inc.hess, 3))
+    euler_update(_leading(phi, 1), _leading(f, 2), planes, damp, mode == "full")
+    lambda2 = state.lambda2 + inc.dlambda2
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(phi))):
+        bad = np.argwhere(~np.isfinite(f).all(axis=(-2, -1)) if phi.ndim == 2
+                          else ~np.isfinite(f))
         raise FloatingPointError(
-            f"non-finite state at lam2 = {state.lambda2 + inc.dlambda2} "
-            f"(first trajectory index {bad[:1]})")
-    return ProxyState(phi_new, f_new, state.lambda2 + inc.dlambda2)
-
-
-def _closure_canon(mat: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Canonical coordinates of sym(mat (x) phi) for the bullet fast path."""
-    n = len(phi)
-    s = np.empty((n, 6))
-    for a in range(2):
-        s[:, 3 * a] = mat[:, a, 0] * phi[:, 0]
-        s[:, 3 * a + 1] = 0.5 * (mat[:, a, 0] * phi[:, 1] + mat[:, a, 1] * phi[:, 0])
-        s[:, 3 * a + 2] = mat[:, a, 1] * phi[:, 1]
-    return s
-
-
-def _bullet_qf(s: np.ndarray) -> np.ndarray:
-    return np.sum((s @ tensor2d._BULLET_GRAM6) * s, axis=1)
-
-
-def _moments(phi: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The nine tracked quantities per trajectory, stacked (n, 9)."""
-    p2 = phi[:, 0] ** 2 + phi[:, 1] ** 2
-    f00, f01, f10, f11 = f[:, 0, 0], f[:, 0, 1], f[:, 1, 0], f[:, 1, 1]
-    f2 = f00 ** 2 + f01 ** 2 + f10 ** 2 + f11 ** 2
-    det = f00 * f11 - f01 * f10
-    adj_t = np.empty_like(f)
-    adj_t[:, 0, 0] = f11
-    adj_t[:, 0, 1] = -f10
-    adj_t[:, 1, 0] = -f01
-    adj_t[:, 1, 1] = f00
-    out = np.empty((len(p2), 9))
-    out[:, 0] = p2
-    out[:, 1] = p2 * p2
-    out[:, 2] = f2
-    out[:, 3] = f2 * f2
-    out[:, 4] = det
-    out[:, 5] = det * det
-    out[:, 6] = p2 * f2
-    out[:, 7] = _bullet_qf(_closure_canon(f, phi))
-    out[:, 8] = _bullet_qf(_closure_canon(adj_t, phi))
-    return out
+            f"non-finite state at lam2 = {lambda2} (first trajectory index {bad[:1]})")
+    return ProxyState(phi, f, lambda2)
 
 
 def _prepare_steps(cfg: SdeConfig):
@@ -258,44 +286,57 @@ def _snapshot_indices(cfg: SdeConfig, x: np.ndarray) -> dict[int, float]:
     return {int(np.argmin(np.abs(x - pt))): float(pt) for pt in cfg.snapshot_points}
 
 
+def _blocks(n_traj: int, block_size: int) -> list[int]:
+    """Sizes of the fixed-size trajectory blocks, the last one possibly short."""
+    return [min(block_size, n_traj - start) for start in range(0, n_traj, block_size)]
+
+
+def _initial_planes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Component-major (phi, F) = (0, id) for ``n`` trajectories."""
+    f = np.zeros((2, 2, n))
+    f[0, 0] = f[1, 1] = 1.0
+    return np.zeros((2, n)), f
+
+
 def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_block):
-    phi = np.zeros((n_block, 2))
-    f = np.tile(np.eye(2), (n_block, 1, 1))
-    n_rec = len(rec_idx)
-    sums = np.zeros((n_rec, 9))
-    sumsq = np.zeros((n_rec, 9))
+    phi, f = _initial_planes(n_block)
+    buf = np.empty((9, n_block))
+    sums = np.zeros((len(rec_idx), 9))
+    sumsq = np.zeros((len(rec_idx), 9))
     rec_pos = {int(g): r for r, g in enumerate(rec_idx)}
     snaps = {}
 
     def record(grid_i):
         r = rec_pos.get(grid_i)
         if r is not None:
-            m = _moments(phi, f)
-            sums[r] += m.sum(axis=0)
-            sumsq[r] += (m * m).sum(axis=0)
+            m = moment_planes(phi, f, buf)
+            sums[r] += m.sum(axis=1)
+            sumsq[r] += np.einsum("ij,ij->i", m, m)
         if grid_i in snap_idx:
-            f2 = np.sum(f * f, axis=(1, 2))
-            det = f[:, 0, 0] * f[:, 1, 1] - f[:, 0, 1] * f[:, 1, 0]
-            snaps[grid_i] = (f2.copy(), det.copy())
+            snaps[grid_i] = (np.sum(f * f, axis=(0, 1)), f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0])
 
     record(0)
     for i in range(cfg.n_steps):
-        if factors is not None:
+        if factors is None:
+            phi *= damps[i]
+        else:
             gen = stream(cfg.seed, "proxy-sde", block, counter=i)
             vec = gen.standard_normal((n_block, 12)) @ factors[i].T
-            dphi, grad, hess = shellcov.components_to_fields(vec)
-            phi_col = phi[:, :, None]
-            f += np.matmul(grad, f)
-            if cfg.mode == "full":
-                # contraction of the Hessian's trailing slot with phi
-                f += np.matmul(hess.reshape(n_block, 4, 2), phi_col).reshape(n_block, 2, 2)
-            phi = damps[i] * (phi + np.matmul(grad, phi_col)[:, :, 0]) + dphi
-        else:
-            phi = damps[i] * phi
+            euler_update(phi, f, shellcov.components_to_fields(vec), damps[i],
+                         cfg.mode == "full")
         record(i + 1)
-    if not np.all(np.isfinite(f)):
-        raise FloatingPointError(f"non-finite trajectory in block {block} "
-                                 f"before lam2 = {x[-1]}")
+    # the last grid point is always recorded, so a non-finite phi or F shows
+    # in the sums; they date the failure at no per-step cost
+    bad_rows = np.flatnonzero(~np.isfinite(sums).all(axis=1))
+    if bad_rows.size:
+        g = int(rec_idx[bad_rows[0]])
+        final = np.concatenate([phi, f.reshape(4, -1), moment_planes(phi, f, buf)])
+        bad = np.flatnonzero(~np.isfinite(final).all(axis=0))
+        who = (f"first bad trajectory {block * cfg.block_size + bad[0]}" if bad.size
+               else "final state finite")
+        raise FloatingPointError(
+            f"non-finite trajectory in block {block}: {who}, moment sums first "
+            f"non-finite at lam2 = {x[g]:.17g} (grid step {g})")
     return sums, sumsq, snaps
 
 
@@ -308,12 +349,7 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleResult:
     x, factors, damps = _prepare_steps(cfg)
     rec_idx = _record_points(cfg)
     snap_idx = _snapshot_indices(cfg, x)
-
-    blocks = []
-    left = cfg.n_traj
-    while left > 0:
-        blocks.append(min(cfg.block_size, left))
-        left -= blocks[-1]
+    blocks = _blocks(cfg.n_traj, cfg.block_size)
 
     def work(b):
         return _run_block(cfg, x, factors, damps, rec_idx, snap_idx, b, blocks[b])
@@ -391,19 +427,13 @@ def coupled_refinement(eps: float, lambda2_max: float, base_steps: int,
                 for i in range(base_steps * finest)]
     acc = {lv: np.zeros(3) for lv in levels}
 
-    blocks = []
-    left = n_traj
-    while left > 0:
-        blocks.append(min(block_size, left))
-        left -= blocks[-1]
-
-    for b, nb in enumerate(blocks):
-        states = {lv: ProxyState.initial(nb) for lv in levels}
-        agg = {lv: None for lv in levels}
+    for b, nb in enumerate(_blocks(n_traj, block_size)):
+        states = {lv: _initial_planes(nb) for lv in levels}
+        agg = {lv: np.zeros((11, nb)) for lv in levels}
         for i in range(base_steps * finest):
             gen = stream(seed, "proxy-refine", b, counter=i)
             vec = gen.standard_normal((nb, 12)) @ fine_cfg[i].T
-            dphi, grad, hess = shellcov.components_to_fields(vec)
+            planes = np.array(shellcov.components_to_fields(vec))
             for lv in levels:
                 stride = finest // lv
                 i_lo = (i // stride) * stride
@@ -411,23 +441,15 @@ def coupled_refinement(eps: float, lambda2_max: float, base_steps: int,
                 # raw-variable aggregation onto the coarse step [x_lo, x_hi]
                 w_phi = np.exp((x_fine[i + 1] - x_fine[i_hi]) / eps ** 2)
                 w_hess = np.exp(-(x_fine[i] - x_fine[i_lo]) / eps ** 2)
-                if agg[lv] is None:
-                    agg[lv] = [np.zeros((nb, 2)), np.zeros((nb, 2, 2)),
-                               np.zeros((nb, 2, 2, 2))]
-                agg[lv][0] += w_phi * dphi
-                agg[lv][1] += grad
-                agg[lv][2] += w_hess * hess
+                agg[lv] += np.repeat([w_phi, 1.0, w_hess], [2, 3, 6])[:, None] * planes
                 if i + 1 == i_hi:
-                    inc = shellcov.DriverIncrement(
-                        agg[lv][0], agg[lv][1], agg[lv][2],
-                        x_fine[i_hi] - x_fine[i_lo], x_fine[i_lo],
-                        (x_fine[i_lo] - 1.0) / eps ** 2)
-                    states[lv] = step(states[lv], inc, eps, mode)
-                    agg[lv] = None
+                    damp = np.exp(-(x_fine[i_hi] - x_fine[i_lo]) / eps ** 2)
+                    euler_update(*states[lv], agg[lv], damp, mode == "full")
+                    agg[lv][:] = 0.0
         for lv in levels:
-            f = states[lv].f
-            det = f[:, 0, 0] * f[:, 1, 1] - f[:, 0, 1] * f[:, 1, 0]
-            acc[lv] += [np.sum(f * f) / 1.0, np.sum(det), np.sum(det * det)]
+            f = states[lv][1]
+            det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
+            acc[lv] += [np.sum(f * f), np.sum(det), np.sum(det * det)]
 
     out = {}
     for lv in levels:
@@ -438,7 +460,3 @@ def coupled_refinement(eps: float, lambda2_max: float, base_steps: int,
                    "var_det": float(e_det2 - e_det ** 2)}
     return out
 
-
-def write_meta(path: str | Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)

@@ -111,13 +111,6 @@ class ScaleGrid:
             return np.zeros_like(self.lambda2_values)
         return (self.lambda2_values - 1.0) / self.eps ** 2
 
-    @property
-    def l_values(self) -> np.ndarray:
-        """Cutoff scales exp(ln L); overflows to inf at deep separation, where
-        callers should work with ``ln_l`` instead."""
-        with np.errstate(over="ignore"):
-            return np.exp(self.ln_l)
-
 
 @dataclass(frozen=True)
 class DriverCovariance:
@@ -190,14 +183,6 @@ class DriverIncrement:
     lambda2: float
     ln_l: float
 
-    @property
-    def raw_dphi(self) -> np.ndarray:
-        return self.dphi * np.exp(self.ln_l)
-
-    @property
-    def raw_hess(self) -> np.ndarray:
-        return self.hess * np.exp(-self.ln_l)
-
 
 def build_cov(lambda2: float, eps: float) -> DriverCovariance:
     """Per-unit-``dlam2`` covariance of the rescaled driver triple."""
@@ -218,29 +203,21 @@ def gaussian_from_factor(fac: np.ndarray, scale: float, rng: np.random.Generator
     return out[0] if size is None else out
 
 
-def components_to_fields(vec: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split sampled 12-vectors into (dphi, grad, hess) arrays.
+#: Hessian components (c, a, b), a <= b, in the order the 12-vector holds them
+HESS_SLOTS = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1))
 
-    The gradient trace is zeroed exactly (the isotropic direction is a null
-    direction of the law; sampling leaves only rounding there), and the
-    Hessian is unpacked to a (2, 2, 2) array symmetric in the derivative
-    slots.
+
+def components_to_fields(vec: np.ndarray) -> list:
+    """Read sampled 12-vectors as the 11 increment planes of the Euler kernel.
+
+    The planes are dphi^0, dphi^1, the gradient g00, g01, g10 and the Hessian
+    components in ``HESS_SLOTS`` order, each of batch shape
+    ``vec.shape[:-1]``; all but g00 are views into ``vec``.  The gradient is
+    trace free, g11 = -g00 = -(v2 - v5)/2: the trace is a null direction of
+    the law, and sampling leaves only rounding there.
     """
-    dphi = vec[..., 0:2]
-    grad = np.empty(vec.shape[:-1] + (2, 2))
-    half_diff = 0.5 * (vec[..., 2] - vec[..., 5])
-    grad[..., 0, 0] = half_diff
-    grad[..., 1, 1] = -half_diff
-    grad[..., 0, 1] = vec[..., 3]
-    grad[..., 1, 0] = vec[..., 4]
-    hess = np.empty(vec.shape[:-1] + (2, 2, 2))
-    for c in range(2):
-        base = 6 + 3 * c
-        hess[..., c, 0, 0] = vec[..., base]
-        hess[..., c, 0, 1] = vec[..., base + 1]
-        hess[..., c, 1, 0] = vec[..., base + 1]
-        hess[..., c, 1, 1] = vec[..., base + 2]
-    return dphi, grad, hess
+    v = np.moveaxis(vec, -1, 0)
+    return [v[0], v[1], 0.5 * (v[2] - v[5]), v[3], v[4], *v[6:]]
 
 
 def sample_increment(cov: DriverCovariance, dlambda2: float,
@@ -250,8 +227,15 @@ def sample_increment(cov: DriverCovariance, dlambda2: float,
     if dlambda2 <= 0.0:
         raise ValueError("dlambda2 must be positive")
     vec = gaussian_from_factor(cov.factor(), dlambda2, rng, size)
-    dphi, grad, hess = components_to_fields(vec)
-    return DriverIncrement(dphi, grad, hess, dlambda2, cov.lambda2, cov.ln_l)
+    d0, d1, g00, g01, g10, *h = components_to_fields(vec)
+
+    def stack(planes, shape):
+        return np.stack(planes, axis=-1).reshape(vec.shape[:-1] + shape)
+
+    return DriverIncrement(
+        stack([d0, d1], (2,)), stack([g00, g01, g10, -g00], (2, 2)),
+        stack([h[0], h[1], h[1], h[2], h[3], h[4], h[4], h[5]], (2, 2, 2)),
+        dlambda2, cov.lambda2, cov.ln_l)
 
 
 def _edge_integral(x_edge: float, span: float, eps: float, sign: float) -> float:

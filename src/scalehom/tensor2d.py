@@ -220,12 +220,6 @@ def bullet(t: np.ndarray, t2: np.ndarray | None = None) -> np.ndarray:
     return np.einsum('...i,ij,...j->...', s, _BULLET_GRAM6, s2)
 
 
-def bullet_canon(s: np.ndarray, s2: np.ndarray | None = None) -> np.ndarray:
-    """``bullet`` on pre-computed canonical 6-vectors (fast path for ensembles)."""
-    s2 = s if s2 is None else s2
-    return np.einsum('...i,ij,...j->...', s, _BULLET_GRAM6, s2)
-
-
 def rotation(theta: float) -> np.ndarray:
     """Rotation matrix by ``theta`` (acts identically on both vector roles)."""
     c, s = np.cos(theta), np.sin(theta)

@@ -184,3 +184,33 @@ class TestOtherCommands:
         code = cli.dispatch(["field-run", "--config", str(path), "--out", str(out)])
         assert code in (0, 2)   # tiny run; qv_ok not asserted at this size
         assert (out / "field_moments.csv").exists()
+
+
+class TestAccept:
+    """``accept`` always runs at ``acceptance.SEED``; the gate itself is
+    replaced by an empty criterion list."""
+
+    @pytest.fixture
+    def gate_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.acceptance, "run_all",
+                            lambda verbose=True: calls.append(verbose) or [])
+        return calls
+
+    def test_sidecar_records_the_seed_used(self, tmp_path, gate_calls):
+        out = tmp_path / "acc"
+        assert cli.dispatch(["accept", "--config", "default", "--out", str(out)]) == 0
+        meta = json.loads((out / "accept.json.meta.json").read_text())
+        assert meta["seed"] == cli.acceptance.SEED == 11
+        assert gate_calls == [True]
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_other_seed_is_refused(self, tmp_path, gate_calls, capsys, how):
+        out = tmp_path / "acc"
+        if how == "flag":
+            argv = ["--config", "default", "--seed", "5"]
+        else:
+            argv = ["--config", str(small_config(tmp_path, run={"seed": 5}))]
+        assert cli.dispatch(["accept", *argv, "--out", str(out)]) == 1
+        assert "fixed seed 11" in capsys.readouterr().err
+        assert gate_calls == [] and not (out / "accept.json").exists()

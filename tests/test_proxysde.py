@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from scalehom import momentodes, proxysde, shellcov
+from scalehom import momentodes, proxysde, shellcov, tensor2d
 
 
 def zero_increment(lambda2=1.0, eps=0.3, dlam2=0.01):
@@ -127,6 +127,130 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             proxysde.SdeConfig(eps=0.2, lambda2_max=2.0, n_steps=10, n_traj=10,
                                mode="heun")
+
+
+def random_state_and_increment(shape, seed):
+    """Trailing-component state and increment arrays; trace-free gradient,
+    Hessian symmetric in its derivative slots."""
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal(shape + (2,))
+    f = rng.standard_normal(shape + (2, 2))
+    dphi = 0.1 * rng.standard_normal(shape + (2,))
+    grad = 0.1 * rng.standard_normal(shape + (2, 2))
+    grad[..., 1, 1] = -grad[..., 0, 0]
+    hess = 0.1 * rng.standard_normal(shape + (2, 2, 2))
+    hess = hess + np.swapaxes(hess, -1, -2)
+    return phi, f, dphi, grad, hess
+
+
+def lead(a, k):
+    return np.ascontiguousarray(np.moveaxis(a, tuple(range(-k, 0)), tuple(range(k))))
+
+
+class TestKernels:
+    @pytest.mark.parametrize("shape", [(500,), (24, 24)])
+    @pytest.mark.parametrize("damp", [0.7, 1.0])
+    @pytest.mark.parametrize("mode", ["full", "exp"])
+    def test_euler_update_matches_einsum_reference(self, shape, damp, mode):
+        phi, f, dphi, grad, hess = random_state_and_increment(shape, 3)
+        ref_f = f + np.einsum("...ci,...ij->...cj", grad, f)
+        if mode == "full":
+            ref_f = ref_f + np.einsum("...cji,...i->...cj", hess, phi)
+        ref_phi = damp * (phi + np.einsum("...ci,...i->...c", grad, phi)) + dphi
+        phi_cm, f_cm = lead(phi, 1), lead(f, 2)
+        planes = proxysde.increment_planes(lead(dphi, 1), lead(grad, 2), lead(hess, 3))
+        proxysde.euler_update(phi_cm, f_cm, planes, damp, mode == "full")
+        np.testing.assert_allclose(f_cm, lead(ref_f, 2), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(phi_cm, lead(ref_phi, 1), rtol=1e-13, atol=1e-13)
+
+    def test_gradient_with_trace_rejected(self):
+        state = proxysde.ProxyState(np.zeros(2), np.eye(2), 1.0)
+        inc = zero_increment()
+        inc.grad[0, 0] = 1e-3
+        with pytest.raises(ValueError, match="trace free"):
+            proxysde.step(state, inc, 0.3)
+
+    def test_sampled_planes_match_unpacked_increment(self):
+        vec = np.random.default_rng(4).standard_normal((300, 12))
+        d0, d1, g00, g01, g10, *h = shellcov.components_to_fields(vec)
+        assert np.array_equal(d1, vec[:, 1]) and np.array_equal(g10, vec[:, 4])
+        assert np.array_equal(g00, 0.5 * (vec[:, 2] - vec[:, 5]))
+        assert np.array_equal(np.stack(h, axis=-1), vec[:, 6:])
+
+    def test_moment_planes_match_bullet_form(self):
+        phi, f, *_ = random_state_and_increment((2000,), 5)
+        m = proxysde.moment_planes(lead(phi, 1), lead(f, 2), np.empty((9, 2000)))
+        p2 = np.sum(phi ** 2, axis=-1)
+        f2 = np.sum(f ** 2, axis=(-2, -1))
+        det = tensor2d.det(f)
+        adj_t = np.swapaxes(tensor2d.adjugate(f), -1, -2)
+        closure = [tensor2d.bullet(np.einsum("...ab,...c->...abc", mat, phi))
+                   for mat in (f, adj_t)]
+        expect = [p2, p2 ** 2, f2, f2 ** 2, det, det ** 2, p2 * f2, *closure]
+        for row, (got, want) in enumerate(zip(m, expect)):
+            np.testing.assert_allclose(got, want, rtol=1e-13, err_msg=str(row))
+
+    def test_ensemble_row_pinned(self):
+        # the final row of a small seeded run; a change of the random stream,
+        # of the update or of the moment formulas moves it beyond 1e-12
+        cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=2.0, n_steps=20, n_traj=3000,
+                                 seed=12, block_size=1024)
+        s = proxysde.run_ensemble(cfg).series
+        np.testing.assert_allclose(s.means[-1], PINNED_MEANS, rtol=1e-12)
+        np.testing.assert_allclose(s.ses[-1], PINNED_SES, rtol=1e-12)
+
+
+PINNED_MEANS = [0.02317232760555312, 0.0010581754642882402, 2.82244582643162,
+                8.808734901316102, 1.0023500219596988, 1.0103475737530223,
+                0.06554523132716578, 0.003193010136245949, 0.0032779179529979613]
+PINNED_SES = [0.00041689027138546374, 4.240298276573041e-05, 0.016761219094886662,
+              0.14628182838735826, 0.0013716035052192595, 0.0027931433386925203,
+              0.0012856963929923182, 0.00010586498680623486, 0.00011002903351953077]
+
+
+class TestNonFiniteReport:
+    def test_overflowing_phi_named_in_exp_mode(self, monkeypatch):
+        # exp mode: F never sees phi, so only phi overflows; it first makes
+        # the moment sums non-finite at grid step 2 (|phi|^2 overflows)
+        prepare = proxysde._prepare_steps
+
+        def inflated(cfg):
+            x, factors, damps = prepare(cfg)
+            return x, factors, damps * 1e200
+
+        monkeypatch.setattr(proxysde, "_prepare_steps", inflated)
+        cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.5, n_steps=8, n_traj=200,
+                                 seed=1, mode="exp", block_size=64)
+        x = cfg.grid().lambda2_values
+        with pytest.raises(FloatingPointError,
+                           match=rf"block 0: first bad trajectory 0, moment sums first "
+                                 rf"non-finite at lam2 = {x[2]:.17g} \(grid step 2\)"):
+            proxysde.run_ensemble(cfg)
+
+    def test_poisoned_trajectory_named(self, monkeypatch):
+        real = proxysde.stream
+
+        class Poisoned:
+            def __init__(self, gen):
+                self.gen = gen
+
+            def standard_normal(self, size):
+                z = self.gen.standard_normal(size)
+                z[37] = np.nan
+                return z
+
+        def stream(seed, name, block, counter):
+            gen = real(seed, name, block, counter=counter)
+            return Poisoned(gen) if (block, counter) == (1, 4) else gen
+
+        monkeypatch.setattr(proxysde, "stream", stream)
+        cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.5, n_steps=8, n_traj=200,
+                                 seed=1, block_size=64)
+        x = cfg.grid().lambda2_values
+        with pytest.raises(FloatingPointError,
+                           match=rf"block 1: first bad trajectory 101, moment sums first "
+                                 rf"non-finite at lam2 = {x[5]:.17g} \(grid step 5\)"):
+            proxysde.run_ensemble(cfg)
 
 
 class TestMomentSeriesView:
