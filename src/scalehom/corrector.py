@@ -60,14 +60,18 @@ def sample_stream_function(grid: TorusGrid, eps: float, l_max: float,
 
 @dataclass
 class CorrectorSolution:
-    """Converged corrector: potential, spectral gradient, solver diagnostics."""
+    """Converged corrector: potential, spectral gradient, solver diagnostics.
+
+    ``iterations`` counts lgmres iterations; ``fallback_steps`` the damped
+    fixed-point steps, 0 unless lgmres was skipped or missed ``tol``.
+    """
 
     phi: np.ndarray
     grad: np.ndarray            # (2, n, n), zero mean by construction
     xi: np.ndarray
     residual_rel: float
     iterations: int
-    converged: bool
+    fallback_steps: int
     residual_history: list = field(default_factory=list)
 
 
@@ -100,7 +104,7 @@ def solve_corrector(coef: CoefField, xi, tol: float = 1e-8,
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         zero = np.zeros((n, n))
-        return CorrectorSolution(zero, np.zeros((2, n, n)), xi, 0.0, 0, True)
+        return CorrectorSolution(zero, np.zeros((2, n, n)), xi, 0.0, 0, 0)
 
     def advect(phi_flat):
         ph = np.fft.fft2(phi_flat.reshape(n, n))
@@ -119,8 +123,7 @@ def solve_corrector(coef: CoefField, xi, tol: float = 1e-8,
 
     history: list[float] = []
     phi_flat = np.zeros(n * n)
-    converged = False
-    iterations = 0
+    iterations = fallback_steps = 0
 
     if use_krylov:
         op = LinearOperator((n * n, n * n), matvec=apply_op)
@@ -129,17 +132,16 @@ def solve_corrector(coef: CoefField, xi, tol: float = 1e-8,
         def track(xk):
             history.append(float(np.linalg.norm(apply_op(xk) - rhs.ravel()) / rhs_norm))
 
-        phi_flat, info = lgmres(op, rhs.ravel(), M=pre, rtol=tol * 1e-2,
-                                atol=0.0, maxiter=max_iter, callback=track)
+        phi_flat, _ = lgmres(op, rhs.ravel(), M=pre, rtol=tol * 1e-2,
+                             atol=0.0, maxiter=max_iter, callback=track)
         iterations = len(history)
-        converged = info == 0
 
     res = float(np.linalg.norm(apply_op(phi_flat) - rhs.ravel()) / rhs_norm)
     if res > tol:
         # damped fixed point on phi <- lap^{-1}(rhs - advect(phi))
         damp = 1.0 / (1.0 + float(np.max(np.abs(coef.psi))))
         for _ in range(max_iter * 5):
-            iterations += 1
+            fallback_steps += 1
             update = precond(rhs.ravel() - advect(phi_flat))
             phi_flat = (1.0 - damp) * phi_flat + damp * update
             res = float(np.linalg.norm(apply_op(phi_flat) - rhs.ravel()) / rhs_norm)
@@ -150,7 +152,6 @@ def solve_corrector(coef: CoefField, xi, tol: float = 1e-8,
             raise FloatingPointError(
                 f"corrector solve stalled at relative residual {res:.3e} "
                 f"(tol {tol:.1e}); history tail {history[-5:]}")
-    converged = True
 
     phi = phi_flat.reshape(n, n)
     ph = np.fft.fft2(phi)
@@ -158,7 +159,7 @@ def solve_corrector(coef: CoefField, xi, tol: float = 1e-8,
     phi = np.fft.ifft2(ph).real
     grad = np.stack([np.fft.ifft2(1j * kx * ph).real,
                      np.fft.ifft2(1j * ky * ph).real])
-    return CorrectorSolution(phi, grad, xi, res, iterations, converged, history)
+    return CorrectorSolution(phi, grad, xi, res, iterations, fallback_steps, history)
 
 
 def effective_lambda(sol: CorrectorSolution) -> float:

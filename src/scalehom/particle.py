@@ -30,7 +30,6 @@ class DriftField:
 
     b: np.ndarray               # (2, n, n)
     grid: TorusGrid
-    interp_order: int = 1
 
     @classmethod
     def from_stream(cls, psi: np.ndarray, grid: TorusGrid) -> "DriftField":
@@ -107,13 +106,11 @@ def default_sample_times(dt: float, t_end: float, n_times: int = 24) -> np.ndarr
 
 def euler_maruyama(drift: DriftField, dt: float, t_end: float, n_paths: int,
                    rng: np.random.Generator,
-                   sample_times: np.ndarray | None = None,
-                   init: str = "origin") -> MsdEstimate:
-    """Integrate ``n_paths`` trajectories and record displacement moments.
+                   sample_times: np.ndarray | None = None) -> MsdEstimate:
+    """Integrate ``n_paths`` trajectories from the origin and record
+    displacement moments.
 
-    ``init`` is "origin" or "uniform" (uniform over the box; used for the
-    occupancy invariance checks).  The step must resolve the unit drift
-    scale: dt <= 0.1.
+    The step must resolve the unit drift scale: dt <= 0.1.
     """
     if dt > 0.1 or dt <= 0.0:
         raise ValueError("need 0 < dt <= 0.1 to resolve the drift scale")
@@ -127,11 +124,7 @@ def euler_maruyama(drift: DriftField, dt: float, t_end: float, n_paths: int,
     n_steps = int(sample_idx.max())
     root2dt = np.sqrt(2.0 * dt)
 
-    if init == "uniform":
-        x0 = rng.uniform(0.0, drift.grid.box_len, size=(n_paths, 2))
-    else:
-        x0 = np.zeros((n_paths, 2))
-    x = x0.copy()
+    x = np.zeros((n_paths, 2))
     msd = np.empty((2, len(sample_idx)))
     se = np.empty((2, len(sample_idx)))
     targets = {int(s): j for j, s in enumerate(sample_idx)}
@@ -140,7 +133,7 @@ def euler_maruyama(drift: DriftField, dt: float, t_end: float, n_paths: int,
         x += drift.at(x) * dt + root2dt * rng.standard_normal((n_paths, 2))
         j = targets.get(step_i)
         if j is not None:
-            d2 = (x - x0) ** 2
+            d2 = x ** 2
             msd[:, j] = d2.mean(axis=0)
             se[:, j] = d2.std(axis=0, ddof=1) / np.sqrt(n_paths)
     est = MsdEstimate(sample_idx * dt, msd, se, n_paths)

@@ -36,14 +36,12 @@ is identical for any worker count.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from . import shellcov, tensor2d
+from . import shellcov
 from .rng import stream
 
 MOMENT_NAMES = (
@@ -92,15 +90,6 @@ class SdeConfig:
 
 
 @dataclass
-class ProxyState:
-    """Trajectory state; ``phi`` stores phi/L, ``f`` the dimensionless Jacobian."""
-
-    phi: np.ndarray
-    f: np.ndarray
-    lambda2: float
-
-
-@dataclass
 class MomentSeries:
     """Tracked expectations on the scale grid, with standard errors.
 
@@ -143,16 +132,6 @@ class MomentSeries:
         row.update({f"se_{name}": self.ses[i, j] for j, name in enumerate(MOMENT_NAMES)})
         row["lambda2"] = float(self.lambda2[i])
         return row
-
-    def write_csv(self, path: str | Path) -> None:
-        header = ["lambda2", "ln_l"] + [f"E_{n}" for n in MOMENT_NAMES] \
-            + [f"se_{n}" for n in MOMENT_NAMES]
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(header)
-            for i in range(len(self.lambda2)):
-                row = [self.lambda2[i], self.ln_l[i], *self.means[i], *self.ses[i]]
-                w.writerow([f"{v:.17g}" for v in row])
 
 
 @dataclass
@@ -231,31 +210,6 @@ def moment_planes(phi: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
-def _leading(a: np.ndarray, k: int) -> np.ndarray:
-    """View with the last ``k`` (component) axes moved to the front."""
-    return np.moveaxis(a, tuple(range(-k, 0)), tuple(range(k)))
-
-
-def step(state: ProxyState, inc: shellcov.DriverIncrement, eps: float,
-         mode: str = "full") -> ProxyState:
-    """One Euler step (:func:`euler_update`) of a single or batched state.
-
-    Aborts with ``FloatingPointError`` if the updated state is not finite.
-    """
-    phi, f = np.array(state.phi, dtype=float), np.array(state.f, dtype=float)
-    damp = np.exp(-inc.dlambda2 / eps ** 2) if eps > 0.0 else 0.0
-    planes = increment_planes(_leading(inc.dphi, 1), _leading(inc.grad, 2),
-                              _leading(inc.hess, 3))
-    euler_update(_leading(phi, 1), _leading(f, 2), planes, damp, mode == "full")
-    lambda2 = state.lambda2 + inc.dlambda2
-    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(phi))):
-        bad = np.argwhere(~np.isfinite(f).all(axis=(-2, -1)) if phi.ndim == 2
-                          else ~np.isfinite(f))
-        raise FloatingPointError(
-            f"non-finite state at lam2 = {lambda2} (first trajectory index {bad[:1]})")
-    return ProxyState(phi, f, lambda2)
-
-
 def _prepare_steps(cfg: SdeConfig):
     x = cfg.grid().lambda2_values
     if cfg.eps == 0.0:
@@ -321,7 +275,7 @@ def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_bl
             phi *= damps[i]
         else:
             gen = stream(cfg.seed, "proxy-sde", block, counter=i)
-            vec = gen.standard_normal((n_block, 12)) @ factors[i].T
+            vec = shellcov.gaussian_from_factor(factors[i], gen, n_block)
             euler_update(phi, f, shellcov.components_to_fields(vec), damps[i],
                          cfg.mode == "full")
         record(i + 1)
@@ -432,7 +386,7 @@ def coupled_refinement(eps: float, lambda2_max: float, base_steps: int,
         agg = {lv: np.zeros((11, nb)) for lv in levels}
         for i in range(base_steps * finest):
             gen = stream(seed, "proxy-refine", b, counter=i)
-            vec = gen.standard_normal((nb, 12)) @ fine_cfg[i].T
+            vec = shellcov.gaussian_from_factor(fine_cfg[i], gen, nb)
             planes = np.array(shellcov.components_to_fields(vec))
             for lv in levels:
                 stride = finest // lv

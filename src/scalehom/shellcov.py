@@ -97,14 +97,6 @@ class ScaleGrid:
     def uniform(cls, eps: float, lambda2_max: float, n_steps: int) -> "ScaleGrid":
         return cls(eps, np.linspace(1.0, lambda2_max, n_steps + 1))
 
-    @classmethod
-    def refined(cls, eps: float, lambda2_max: float, n_steps: int,
-                ratio: float = 1.02) -> "ScaleGrid":
-        """Geometric step refinement near lam2 = 1, where moments change fastest."""
-        w = ratio ** np.arange(n_steps)
-        steps = (lambda2_max - 1.0) * w / w.sum()
-        return cls(eps, np.concatenate([[1.0], 1.0 + np.cumsum(steps)]))
-
     @property
     def ln_l(self) -> np.ndarray:
         if self.eps == 0.0:
@@ -117,8 +109,8 @@ class DriverCovariance:
     """Covariance of the driver triple at one scale, per unit ``dlam2``.
 
     The stored 12x12 ``matrix`` refers to the rescaled components
-    ``(dphi/L, grad, L*hess)`` and is free of ``L``; raw blocks are exposed
-    for moderate ``ln L`` where the powers of ``L`` are representable.
+    ``(dphi/L, grad, L*hess)`` and is free of ``L``, as are the blocks
+    exposed below; no raw (``L``-carrying) block is formed.
     """
 
     lambda2: float
@@ -127,23 +119,9 @@ class DriverCovariance:
     _eig: tuple = field(repr=False, default=None)
 
     @property
-    def ln_l(self) -> float:
-        return (self.lambda2 - 1.0) / self.eps ** 2
-
-    @property
-    def c00(self) -> np.ndarray:
-        """Raw dphi block, equal to ``(L^2 / 2 lam2) id``."""
-        return np.exp(2.0 * self.ln_l) * self.matrix[:2, :2]
-
-    @property
     def c11(self) -> np.ndarray:
         """Gradient block (scale free)."""
         return self.matrix[2:6, 2:6]
-
-    @property
-    def c22(self) -> np.ndarray:
-        """Raw Hessian block, carrying ``L^-2``."""
-        return np.exp(-2.0 * self.ln_l) * self.matrix[6:12, 6:12]
 
     @property
     def c02(self) -> np.ndarray:
@@ -167,23 +145,6 @@ class DriverCovariance:
         return v * np.sqrt(w)
 
 
-@dataclass(frozen=True)
-class DriverIncrement:
-    """One Gaussian increment of the driver triple over a scale step.
-
-    ``dphi`` stores ``dphi/L`` and ``hess`` stores ``L * hess`` (the scale
-    free normalizations); ``grad`` is the raw Jacobian increment with
-    ``grad[c, a] = d_a dphi^c`` and exactly vanishing trace.
-    """
-
-    dphi: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
-    dlambda2: float
-    lambda2: float
-    ln_l: float
-
-
 def build_cov(lambda2: float, eps: float) -> DriverCovariance:
     """Per-unit-``dlam2`` covariance of the rescaled driver triple."""
     if lambda2 < 1.0:
@@ -195,12 +156,13 @@ def build_cov(lambda2: float, eps: float) -> DriverCovariance:
     return cov
 
 
-def gaussian_from_factor(fac: np.ndarray, scale: float, rng: np.random.Generator,
-                         size: int | None = None) -> np.ndarray:
-    n = 1 if size is None else size
-    z = rng.standard_normal((n, fac.shape[0]))
-    out = np.sqrt(scale) * (z @ fac.T)
-    return out[0] if size is None else out
+def gaussian_from_factor(fac: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` centred Gaussian rows with covariance ``fac @ fac.T``.
+
+    The one place where standard normals become driver increments: row ``i``
+    is ``fac @ z_i`` for the ``i``-th row of one ``(n, fac.shape[0])`` draw.
+    """
+    return rng.standard_normal((n, fac.shape[0])) @ fac.T
 
 
 #: Hessian components (c, a, b), a <= b, in the order the 12-vector holds them
@@ -214,28 +176,11 @@ def components_to_fields(vec: np.ndarray) -> list:
     components in ``HESS_SLOTS`` order, each of batch shape
     ``vec.shape[:-1]``; all but g00 are views into ``vec``.  The gradient is
     trace free, g11 = -g00 = -(v2 - v5)/2: the trace is a null direction of
-    the law, and sampling leaves only rounding there.
+    the law, and sampling leaves only the root of a rounding-level
+    eigenvalue there.
     """
     v = np.moveaxis(vec, -1, 0)
     return [v[0], v[1], 0.5 * (v[2] - v[5]), v[3], v[4], *v[6:]]
-
-
-def sample_increment(cov: DriverCovariance, dlambda2: float,
-                     rng: np.random.Generator,
-                     size: int | None = None) -> DriverIncrement:
-    """Draw a centered Gaussian increment with covariance ``dlambda2 * cov``."""
-    if dlambda2 <= 0.0:
-        raise ValueError("dlambda2 must be positive")
-    vec = gaussian_from_factor(cov.factor(), dlambda2, rng, size)
-    d0, d1, g00, g01, g10, *h = components_to_fields(vec)
-
-    def stack(planes, shape):
-        return np.stack(planes, axis=-1).reshape(vec.shape[:-1] + shape)
-
-    return DriverIncrement(
-        stack([d0, d1], (2,)), stack([g00, g01, g10, -g00], (2, 2)),
-        stack([h[0], h[1], h[1], h[2], h[3], h[4], h[4], h[5]], (2, 2, 2)),
-        dlambda2, cov.lambda2, cov.ln_l)
 
 
 def _edge_integral(x_edge: float, span: float, eps: float, sign: float) -> float:

@@ -4,7 +4,8 @@ Conventions
 -----------
 Tangent vectors carry upper component indices, cotangent vectors lower ones;
 both are stored as plain ``(2,)`` float arrays (the Euclidean pairing makes
-the component arrays identical, ``musical`` converts the role).  An
+the component arrays identical, so raising or lowering an index is the
+identity on them).  An
 endomorphism of cotangent space (a Jacobian-like object ``F``) is stored as
 ``F[i, j] = F^i_j`` with row = field component, column = derivative
 direction, i.e. ``(grad phi)[i, j] = d_j phi^i``.  Observables ``G`` dual to
@@ -118,16 +119,6 @@ BULLET_OPNORM = float(np.linalg.eigvalsh(
 
 #: sharp constant of diamond relative to the squared Frobenius norm
 DIAMOND_OPNORM = 0.5
-
-
-def pair(xi: np.ndarray, xdot: np.ndarray) -> float:
-    """Canonical pairing <xi, xdot> of a cotangent and a tangent vector."""
-    return float(np.dot(xi, xdot))
-
-
-def musical(v: np.ndarray) -> np.ndarray:
-    """Raise/lower the index of a vector; an involution preserving the norm."""
-    return np.asarray(v, dtype=float).copy()
 
 
 def vec_pair(xi: np.ndarray, xdot: np.ndarray) -> np.ndarray:

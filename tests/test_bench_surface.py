@@ -1,0 +1,45 @@
+"""The benchmark tracer finds every package name it wraps.
+
+``bench/tracing.py`` skips a name the package no longer has, and the metrics
+read from that name then read 0.  Deleting or renaming a traced function must
+therefore fail here rather than pass unnoticed in the benchmark.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from scalehom import proxysde
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_skips_no_name():
+    tracing = load_tracing()
+
+    class Recording(tracing.Patches):
+        def __init__(self):
+            super().__init__()
+            self.skipped = []
+
+        def wrap(self, owner, attr, factory, missing_ok=False):
+            before = len(self._saved)
+            super().wrap(owner, attr, factory, missing_ok)
+            if len(self._saved) == before:
+                self.skipped.append(f"{owner.__name__}.{attr}")
+
+    original = proxysde.run_ensemble
+    patches = Recording()
+    try:
+        tracing.install(tracing.Tracer(), patches)
+        assert proxysde.run_ensemble is not original
+    finally:
+        patches.undo()
+    assert patches.skipped == []
+    assert proxysde.run_ensemble is original

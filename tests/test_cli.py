@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from scalehom import cli
+from scalehom import cli, proxysde
 
 
 def small_config(tmp_path, **overrides):
@@ -98,6 +98,25 @@ class TestSdeRun:
         meta = json.loads((out / "sde_series.csv.meta.json").read_text())
         assert meta["seed"] == 11 and "config_sha256" in meta
         assert "wall_time_s" in meta
+
+    def test_csv_columns_equal_run_ensemble(self, tmp_path):
+        # 17 significant digits round-trip: every column reads back as the
+        # ensemble computed it
+        path = small_config(tmp_path)
+        out = tmp_path / "out"
+        assert cli.dispatch(["sde-run", "--config", str(path), "--out", str(out)]) == 0
+        data = np.genfromtxt(out / "sde_series.csv", delimiter=",", names=True)
+        cfg = cli.RunConfig.load(str(path))
+        sec = cfg["sde"]
+        s = proxysde.run_ensemble(proxysde.SdeConfig(
+            eps=sec["eps"], lambda2_max=sec["lambda2_max"], n_steps=sec["n_steps"],
+            n_traj=sec["n_traj"], seed=cfg["run"]["seed"], mode=sec["mode"],
+            record_stride=sec["record_stride"])).series
+        assert np.array_equal(data["lambda2"], s.lambda2)
+        assert np.array_equal(data["ln_l"], s.ln_l)
+        for name in proxysde.MOMENT_NAMES:
+            assert np.array_equal(data[f"E_{name}"], s.column(name)), name
+            assert np.array_equal(data[f"se_{name}"], s.se(name)), name
 
     def test_byte_identical_across_runs_and_threads(self, tmp_path):
         path = small_config(tmp_path)

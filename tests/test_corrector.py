@@ -20,12 +20,20 @@ def sample_problem():
     return coef, sol1, sol2
 
 
+@pytest.fixture(scope="module")
+def krylov_and_fallback():
+    grid = TorusGrid.for_cutoff(8.0, 128, 4.0)
+    coef = co.sample_stream_function(grid, 0.15, 8.0, stream(2, "coef", 0))
+    return (co.solve_corrector(coef, E1, tol=1e-9),
+            co.solve_corrector(coef, E1, tol=1e-9, use_krylov=False))
+
+
 class TestSolve:
     def test_zero_stream_gives_zero_corrector(self):
         grid = TorusGrid(64, 40.0)
         coef = co.CoefField(np.zeros((64, 64)), grid, 0.1, 4.0)
         sol = co.solve_corrector(coef, E1)
-        assert np.all(sol.phi == 0.0) and sol.converged
+        assert np.all(sol.phi == 0.0) and sol.fallback_steps == 0
 
     def test_constant_stream_gives_zero_corrector(self):
         grid = TorusGrid(64, 40.0)
@@ -36,20 +44,24 @@ class TestSolve:
     def test_residual_below_tolerance(self, sample_problem):
         _, sol1, sol2 = sample_problem
         assert sol1.residual_rel <= 1e-10 and sol2.residual_rel <= 1e-10
-        assert sol1.converged and len(sol1.residual_history) >= 1
+        assert sol1.fallback_steps == 0 and len(sol1.residual_history) >= 1
 
     def test_gradient_has_zero_mean(self, sample_problem):
         _, sol1, _ = sample_problem
         assert abs(sol1.grad[0].mean()) < 1e-13
         assert abs(sol1.grad[1].mean()) < 1e-13
 
-    def test_fixed_point_fallback_agrees_with_krylov(self):
-        grid = TorusGrid.for_cutoff(8.0, 128, 4.0)
-        coef = co.sample_stream_function(grid, 0.15, 8.0, stream(2, "coef", 0))
-        a = co.solve_corrector(coef, E1, tol=1e-9)
-        b = co.solve_corrector(coef, E1, tol=1e-9, use_krylov=False)
+    def test_fixed_point_fallback_agrees_with_krylov(self, krylov_and_fallback):
+        a, b = krylov_and_fallback
         assert b.residual_rel <= 1e-9
         assert np.max(np.abs(a.phi - b.phi)) < 1e-7
+
+    def test_counters_separate_krylov_and_fallback(self, krylov_and_fallback):
+        # lgmres iterations and fixed-point steps are counted apart, and a
+        # solve that needed no fallback says so
+        a, b = krylov_and_fallback
+        assert a.iterations > 0 and a.fallback_steps == 0
+        assert b.iterations == 0 and b.fallback_steps > 0
 
     def test_rejects_bad_inputs(self):
         grid = TorusGrid(64, 40.0)

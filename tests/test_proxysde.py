@@ -8,54 +8,65 @@ import pytest
 from scalehom import momentodes, proxysde, shellcov, tensor2d
 
 
-def zero_increment(lambda2=1.0, eps=0.3, dlam2=0.01):
-    return shellcov.DriverIncrement(
-        np.zeros(2), np.zeros((2, 2)), np.zeros((2, 2, 2)),
-        dlam2, lambda2, (lambda2 - 1.0) / eps ** 2)
+def zero_planes(n):
+    return shellcov.components_to_fields(np.zeros((n, 12)))
 
 
 class TestStep:
     def test_zero_increment_leaves_raw_state_unchanged(self):
         rng = np.random.default_rng(0)
-        state = proxysde.ProxyState(rng.standard_normal(2), rng.standard_normal((2, 2)), 1.3)
+        phi, f = rng.standard_normal((2, 5)), rng.standard_normal((2, 2, 5))
+        phi0, f0 = phi.copy(), f.copy()
         eps, d = 0.3, 0.02
-        new = proxysde.step(state, zero_increment(1.3, eps, d), eps)
-        assert np.array_equal(new.f, state.f)
+        proxysde.euler_update(phi, f, zero_planes(5), np.exp(-d / eps ** 2))
+        assert np.array_equal(f, f0)
         # stored phi is phi/L; the raw corrector is unchanged up to rounding
-        raw_old = state.phi  # common factor exp(lnL_old) cancels in the ratio
-        raw_new = new.phi * np.exp(d / eps ** 2)
+        raw_old = phi0  # common factor exp(lnL_old) cancels in the ratio
+        raw_new = phi * np.exp(d / eps ** 2)
         assert np.allclose(raw_new, raw_old, rtol=1e-14)
-        assert new.lambda2 == pytest.approx(1.32)
 
     def test_zero_phi_reduces_to_driver_terms(self):
         rng = np.random.default_rng(1)
-        f0 = rng.standard_normal((2, 2))
-        state = proxysde.ProxyState(np.zeros(2), f0, 1.0)
-        cov = shellcov.build_cov(1.0, 0.5)
-        inc = shellcov.sample_increment(cov, 0.01, rng)
-        new = proxysde.step(state, inc, 0.5)
-        assert np.allclose(new.f, f0 + inc.grad @ f0, atol=1e-15)
-        assert np.allclose(new.phi, inc.dphi, atol=1e-15)
+        phi, _ = proxysde._initial_planes(4)
+        f0 = rng.standard_normal((2, 2, 4))
+        f = f0.copy()
+        fac = shellcov.step_covariance(1.0, 1.01, 0.5).factor()
+        inc = shellcov.components_to_fields(shellcov.gaussian_from_factor(fac, rng, 4))
+        proxysde.euler_update(phi, f, inc, np.exp(-0.01 / 0.25))
+        grad = np.array([[inc[2], inc[3]], [inc[4], -inc[2]]])
+        assert np.allclose(f, f0 + np.einsum("cin,ijn->cjn", grad, f0), atol=1e-15)
+        assert np.allclose(phi, inc[:2], atol=1e-15)
 
     def test_exp_mode_determinant_of_single_step(self):
         # from the identity, det(id + grad) = 1 + det(grad) for trace-free grad,
         # and E det(grad) = 0 by determinant harmonicity: ensemble mean is 1
         rng = np.random.default_rng(2)
-        cov = shellcov.build_cov(1.0, 0.5)
-        inc = shellcov.sample_increment(cov, 0.05, rng, size=1_000_000)
-        state = proxysde.ProxyState(np.zeros((1_000_000, 2)),
-                                    np.tile(np.eye(2), (1_000_000, 1, 1)), 1.0)
-        new = proxysde.step(state, inc, 0.5, mode="exp")
-        det = new.f[:, 0, 0] * new.f[:, 1, 1] - new.f[:, 0, 1] * new.f[:, 1, 0]
-        det_grad = inc.grad[:, 0, 0] * inc.grad[:, 1, 1] - inc.grad[:, 0, 1] * inc.grad[:, 1, 0]
+        n = 1_000_000
+        fac = shellcov.step_covariance(1.0, 1.05, 0.5).factor()
+        inc = shellcov.components_to_fields(shellcov.gaussian_from_factor(fac, rng, n))
+        phi, f = proxysde._initial_planes(n)
+        proxysde.euler_update(phi, f, inc, np.exp(-0.05 / 0.25), full=False)
+        det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
+        g00, g01, g10 = inc[2:5]
+        det_grad = -g00 * g00 - g01 * g10
         assert np.allclose(det, 1.0 + det_grad, atol=1e-12)
         se = det.std() / 1000.0
         assert abs(det.mean() - 1.0) < 5.0 * se
 
-    def test_nonfinite_state_reported(self):
-        state = proxysde.ProxyState(np.zeros(2), np.full((2, 2), np.inf), 1.0)
-        with pytest.raises(FloatingPointError, match="lam2"):
-            proxysde.step(state, zero_increment(), 0.3)
+    def test_nonfinite_state_reported(self, monkeypatch):
+        initial = proxysde._initial_planes
+
+        def poisoned(n):
+            phi, f = initial(n)
+            f[:, :, 3] = np.inf
+            return phi, f
+
+        monkeypatch.setattr(proxysde, "_initial_planes", poisoned)
+        cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.5, n_steps=4, n_traj=20, seed=0)
+        with pytest.raises(FloatingPointError,
+                           match=r"block 0: first bad trajectory 3, moment sums first "
+                                 r"non-finite at lam2 = 1 \(grid step 0\)"):
+            proxysde.run_ensemble(cfg)
 
 
 class TestEnsemble:
@@ -164,11 +175,10 @@ class TestKernels:
         np.testing.assert_allclose(phi_cm, lead(ref_phi, 1), rtol=1e-13, atol=1e-13)
 
     def test_gradient_with_trace_rejected(self):
-        state = proxysde.ProxyState(np.zeros(2), np.eye(2), 1.0)
-        inc = zero_increment()
-        inc.grad[0, 0] = 1e-3
+        grad = np.zeros((2, 2, 1))
+        grad[0, 0] = 1e-3
         with pytest.raises(ValueError, match="trace free"):
-            proxysde.step(state, inc, 0.3)
+            proxysde.increment_planes(np.zeros((2, 1)), grad, np.zeros((2, 2, 2, 1)))
 
     def test_sampled_planes_match_unpacked_increment(self):
         vec = np.random.default_rng(4).standard_normal((300, 12))
@@ -254,15 +264,6 @@ class TestNonFiniteReport:
 
 
 class TestMomentSeriesView:
-    def test_csv_roundtrip_values(self, tmp_path):
-        cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.6, n_steps=12, n_traj=2000, seed=9)
-        s = proxysde.run_ensemble(cfg).series
-        path = tmp_path / "series.csv"
-        s.write_csv(path)
-        data = np.genfromtxt(path, delimiter=",", names=True)
-        assert np.allclose(data["lambda2"], s.lambda2)
-        assert np.allclose(data["E_f2"], s.column("f2"), rtol=1e-15)
-
     def test_jensen_guard(self):
         cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.6, n_steps=12, n_traj=4000, seed=10)
         s = proxysde.run_ensemble(cfg).series

@@ -25,18 +25,6 @@ def bullet_oracle(t):
         lambda u: np.einsum('abc,bn,cn,an->n', t, u, u, t2.J @ u) ** 2)
 
 
-class TestVectorLayer:
-    def test_pairing_components(self):
-        assert t2.pair([1.0, 2.0], [3.0, 4.0]) == 11.0
-
-    def test_musical_is_norm_preserving_involution(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            x = rng.standard_normal(2)
-            assert np.array_equal(t2.musical(t2.musical(x)), x)
-            assert np.linalg.norm(t2.musical(x)) == np.linalg.norm(x)
-
-
 class TestAdjugate:
     def test_identity(self):
         assert np.array_equal(t2.adjugate(np.eye(2)), np.eye(2))
@@ -208,5 +196,5 @@ class TestContractionIdentities:
         assert acc == pytest.approx(1.0, abs=1e-15)
 
     def test_unit_vector_rank_one(self):
-        g = t2.vec_pair(t2.musical([1.0, 0.0]), [1.0, 0.0])
+        g = t2.vec_pair(np.array([1.0, 0.0]), [1.0, 0.0])
         assert t2.diamond(g) == 0.125
