@@ -6,10 +6,15 @@ For a stream function ``psi`` on the torus the coefficient field is
     div a (xi + grad phi) = 0,  zero-mean gradient,
 
 which expands to the scalar form ``lap phi = -grad psi . J (xi + grad phi)``
-since the skew part contributes only through the stream gradient.  The solve
-is a Krylov iteration on the preconditioned operator ``lap^{-1} A`` with the
-spectral inverse Laplacian, falling back to a damped fixed point when the
-Krylov iteration stagnates (large stream amplitudes).
+since the skew part contributes only through the stream gradient.  lgmres
+solves the preconditioned equation
+
+    u + lap^{-1}(grad psi . J grad u) = lap^{-1}(-grad psi . J xi)
+
+with the spectral inverse Laplacian on real FFTs (two forward and two
+batched inverse calls per matvec).  One final check of the unpreconditioned
+residual decides convergence; a damped fixed point takes over when the
+Krylov iteration misses ``tol`` (large stream amplitudes).
 
 From converged correctors in both coordinate directions the effective
 diffusivity ``lambda = 1 + mean |grad phi|^2``, the flux representation
@@ -22,6 +27,7 @@ Lagrangian, exact on the torus) are the built-in cross-checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
@@ -29,22 +35,26 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 from .fieldsim import TorusGrid, sample_shell_field
 
 J = np.array([[0.0, -1.0], [1.0, 0.0]])
+#: derivative orders (a, b) of d_x^a d_y^b that make a gradient
+GRAD = ((1, 0), (0, 1))
 
 
 @dataclass
 class CoefField:
-    """Stream-function sample and the implied coefficient field id + psi J."""
+    """Stream-function sample, held by its half spectrum (``rfft2`` layout),
+    and the implied coefficient field id + psi J."""
 
-    psi: np.ndarray
+    psi_hat: np.ndarray
     grid: TorusGrid
     eps: float
     l_max: float
 
+    @cached_property
+    def psi(self) -> np.ndarray:
+        return self.grid.synthesize(self.psi_hat)
+
     def grad_psi(self) -> np.ndarray:
-        kx, ky, _ = self.grid.wavevectors()
-        ph = np.fft.fft2(self.psi)
-        return np.stack([np.fft.ifft2(1j * kx * ph).real,
-                         np.fft.ifft2(1j * ky * ph).real])
+        return self.grid.derivatives(self.psi_hat, GRAD)
 
     def apply_a(self, v: np.ndarray) -> np.ndarray:
         """Pointwise a(v) = v + psi J v for a vector field v of shape (2,n,n)."""
@@ -55,7 +65,7 @@ def sample_stream_function(grid: TorusGrid, eps: float, l_max: float,
                            rng: np.random.Generator) -> CoefField:
     """Band-limited stream function with spectrum eps^2/|k|^2 on [1/l_max, 1]."""
     shell = sample_shell_field(grid, 1.0, l_max, eps, rng)
-    return CoefField(shell.values, grid, eps, l_max)
+    return CoefField(shell.coeffs, grid, eps, l_max)
 
 
 @dataclass
@@ -64,6 +74,7 @@ class CorrectorSolution:
 
     ``iterations`` counts lgmres iterations; ``fallback_steps`` the damped
     fixed-point steps, 0 unless lgmres was skipped or missed ``tol``.
+    ``residual_history``: true residual after lgmres, then per fixed-point step.
     """
 
     phi: np.ndarray
@@ -75,29 +86,25 @@ class CorrectorSolution:
     residual_history: list = field(default_factory=list)
 
 
-def _spectral_tools(grid: TorusGrid):
-    kx, ky, k2 = grid.wavevectors()
-    inv_k2 = np.zeros_like(k2)
-    inv_k2[k2 > 0] = 1.0 / k2[k2 > 0]
-    return kx, ky, k2, inv_k2
-
-
 def solve_corrector(coef: CoefField, xi, tol: float = 1e-8,
                     max_iter: int = 400, use_krylov: bool = True) -> CorrectorSolution:
     """Solve the corrector problem in direction ``xi`` to relative residual ``tol``.
 
-    Raises ``FloatingPointError`` with the residual history if neither the
-    Krylov iteration nor the damped fixed-point fallback converges.
+    lgmres solves the preconditioned equation u + lap^{-1}(grad psi . J grad u)
+    = lap^{-1} rhs; ``tol`` bounds the residual of the unpreconditioned
+    equation, checked once after the solve.  Raises ``FloatingPointError``
+    with the residual history if neither the Krylov iteration nor the damped
+    fixed-point fallback converges.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     xi = np.asarray(xi, dtype=float)
     grid = coef.grid
     n = grid.n
-    kx, ky, k2, inv_k2 = _spectral_tools(grid)
-    gpsi = coef.grad_psi()
-    if not np.all(np.isfinite(coef.psi)):
+    if not np.all(np.isfinite(coef.psi_hat)):
         raise ValueError("coefficient field contains non-finite values")
+    inv_k2 = grid.inv_k2()
+    gpsi = coef.grad_psi()
 
     jxi = J @ xi
     rhs = -(gpsi[0] * jxi[0] + gpsi[1] * jxi[1])
@@ -106,45 +113,48 @@ def solve_corrector(coef: CoefField, xi, tol: float = 1e-8,
         zero = np.zeros((n, n))
         return CorrectorSolution(zero, np.zeros((2, n, n)), xi, 0.0, 0, 0)
 
-    def advect(phi_flat):
-        ph = np.fft.fft2(phi_flat.reshape(n, n))
-        gx = np.fft.ifft2(1j * kx * ph).real
-        gy = np.fft.ifft2(1j * ky * ph).real
-        return (gpsi[1] * gx - gpsi[0] * gy).ravel()   # grad psi . J grad phi
+    def advect(grad):
+        return gpsi[1] * grad[0] - gpsi[0] * grad[1]   # grad psi . J grad phi
 
-    def apply_op(phi_flat):
-        ph = np.fft.fft2(phi_flat.reshape(n, n))
-        lap = np.fft.ifft2(-k2 * ph).real
-        return lap.ravel() + advect(phi_flat)
+    def inv_lap(f):
+        return -inv_k2 * np.fft.rfft2(f)
 
-    def precond(r_flat):
-        rh = np.fft.fft2(r_flat.reshape(n, n))
-        return np.fft.ifft2(-inv_k2 * rh).real.ravel()
+    def precond_op(u_flat):
+        u = u_flat.reshape(n, n)
+        grad = grid.derivatives(np.fft.rfft2(u), GRAD)
+        return (u + grid.synthesize(inv_lap(advect(grad)))).ravel()
 
-    history: list[float] = []
-    phi_flat = np.zeros(n * n)
+    def close(phi_hat):     # zero-mean phi, grad phi, advection, true residual
+        phi_hat[0, 0] = 0.0
+        fields = grid.derivatives(phi_hat, ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2)))
+        grad = fields[1:3]
+        adv = advect(grad)
+        res = float(np.linalg.norm(fields[3] + fields[4] + adv - rhs) / rhs_norm)
+        return fields[0], grad, adv, res
+
+    phi_hat = np.zeros((n, n // 2 + 1), dtype=complex)
     iterations = fallback_steps = 0
 
     if use_krylov:
-        op = LinearOperator((n * n, n * n), matvec=apply_op)
-        pre = LinearOperator((n * n, n * n), matvec=precond)
+        op = LinearOperator((n * n, n * n), matvec=precond_op, dtype=float)
 
-        def track(xk):
-            history.append(float(np.linalg.norm(apply_op(xk) - rhs.ravel()) / rhs_norm))
+        def track(_):
+            nonlocal iterations
+            iterations += 1
 
-        phi_flat, _ = lgmres(op, rhs.ravel(), M=pre, rtol=tol * 1e-2,
-                             atol=0.0, maxiter=max_iter, callback=track)
-        iterations = len(history)
+        u, _ = lgmres(op, grid.synthesize(inv_lap(rhs)).ravel(), rtol=tol * 1e-2,
+                      atol=0.0, maxiter=max_iter, callback=track)
+        phi_hat = np.fft.rfft2(u.reshape(n, n))
 
-    res = float(np.linalg.norm(apply_op(phi_flat) - rhs.ravel()) / rhs_norm)
+    phi, grad, adv, res = close(phi_hat)
+    history = [res]
     if res > tol:
         # damped fixed point on phi <- lap^{-1}(rhs - advect(phi))
         damp = 1.0 / (1.0 + float(np.max(np.abs(coef.psi))))
         for _ in range(max_iter * 5):
             fallback_steps += 1
-            update = precond(rhs.ravel() - advect(phi_flat))
-            phi_flat = (1.0 - damp) * phi_flat + damp * update
-            res = float(np.linalg.norm(apply_op(phi_flat) - rhs.ravel()) / rhs_norm)
+            phi_hat = (1.0 - damp) * phi_hat + damp * inv_lap(rhs - adv)
+            phi, grad, adv, res = close(phi_hat)
             history.append(res)
             if res <= tol:
                 break
@@ -152,13 +162,6 @@ def solve_corrector(coef: CoefField, xi, tol: float = 1e-8,
             raise FloatingPointError(
                 f"corrector solve stalled at relative residual {res:.3e} "
                 f"(tol {tol:.1e}); history tail {history[-5:]}")
-
-    phi = phi_flat.reshape(n, n)
-    ph = np.fft.fft2(phi)
-    ph[0, 0] = 0.0
-    phi = np.fft.ifft2(ph).real
-    grad = np.stack([np.fft.ifft2(1j * kx * ph).real,
-                     np.fft.ifft2(1j * ky * ph).real])
     return CorrectorSolution(phi, grad, xi, res, iterations, fallback_steps, history)
 
 
@@ -182,14 +185,11 @@ def first_order_gradient_energy(coef: CoefField, xi) -> float:
     gradient energy is (eps^2/2) ln l_max for a unit direction, so the full
     solve at small amplitude must land near this value.
     """
-    xi = np.asarray(xi, dtype=float)
-    _, _, k2, inv_k2 = _spectral_tools(coef.grid)
+    jxi = J @ np.asarray(xi, dtype=float)
     gpsi = coef.grad_psi()
-    jxi = J @ xi
     rhs = -(gpsi[0] * jxi[0] + gpsi[1] * jxi[1])
-    ph = -inv_k2 * np.fft.fft2(rhs)
-    energy = np.sum(k2 * np.abs(ph) ** 2) / coef.grid.n ** 4
-    return float(energy)
+    grad = coef.grid.derivatives(-coef.grid.inv_k2() * np.fft.rfft2(rhs), GRAD)
+    return float(np.mean(np.sum(grad ** 2, axis=0)))
 
 
 @dataclass
@@ -199,10 +199,6 @@ class JacobianStats:
     mean_det: float
     lambda_avg: float
     truncated: dict
-
-    @property
-    def det_to_f2(self) -> float:
-        return self.mean_abs_det / self.mean_f2
 
 
 def jacobian_field(sol1: CorrectorSolution, sol2: CorrectorSolution) -> np.ndarray:
@@ -229,35 +225,6 @@ def jacobian_stats(sol1: CorrectorSolution, sol2: CorrectorSolution,
     lam = 0.5 * (effective_lambda(sol1) + effective_lambda(sol2))
     return JacobianStats(mean_f2, float(np.abs(det).mean()), float(det.mean()),
                          lam, truncated)
-
-
-def save_jacobian_snapshot(path, sol1: CorrectorSolution, sol2: CorrectorSolution,
-                           coef: CoefField) -> None:
-    """Store the Jacobian field in the shared binary snapshot layout.
-
-    The corrector pair is packed as a field state (phi components, then the
-    four Jacobian planes) with the diffusivity's scale variable as metadata,
-    so field-mode tooling can read it back.
-    """
-    from .fieldsim import FieldState, save_snapshot
-    state = FieldState(np.stack([sol1.phi, sol2.phi]),
-                       jacobian_field(sol1, sol2),
-                       1.0 + coef.eps ** 2 * np.log(coef.l_max))
-    save_snapshot(path, state, coef.grid.box_len)
-
-
-def upsample(coef: CoefField, factor: int) -> CoefField:
-    """Spectral zero-padding: the same band-limited realization on a finer grid."""
-    if factor < 1 or factor & (factor - 1):
-        raise ValueError("factor must be a power of two")
-    n = coef.grid.n
-    m = n * factor
-    src = np.fft.fftshift(np.fft.fft2(coef.psi))
-    dst = np.zeros((m, m), dtype=complex)
-    lo = (m - n) // 2
-    dst[lo:lo + n, lo:lo + n] = src
-    psi = np.fft.ifft2(np.fft.ifftshift(dst)).real * factor ** 2
-    return CoefField(psi, TorusGrid(m, coef.grid.box_len), coef.eps, coef.l_max)
 
 
 @dataclass

@@ -12,8 +12,10 @@ same pointwise Euler kernel as the trajectory integrator, here in raw variables
 Shells are geometric in the cutoff scale with ratio 2^(1/4), i.e. uniform in
 the scale variable lam2; each shell uses the log-midpoint scale in its
 multipliers, which removes the leading finite-shell-width bias from the
-quadratic-variation estimates.  FFT work is pure; every sample owns a
-counter-based stream, so runs are reproducible for any scheduling.
+quadratic-variation estimates.  Spectra are real-FFT half spectra, and
+``TorusGrid.derivatives`` serves this module, the corrector and the particle
+drift.  FFT work is pure; every sample owns a counter-based stream, so runs
+are reproducible for any scheduling.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .proxysde import MOMENT_NAMES, euler_update, increment_planes, moment_plane
 from .rng import stream
 
 _MAGIC = b"SHOM"
+_I_POW = (1.0, 1j, -1.0, -1j)
 
 
 @dataclass(frozen=True)
@@ -46,11 +49,40 @@ class TorusGrid:
     def spacing(self) -> float:
         return self.box_len / self.n
 
-    def wavevectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def half_wavevectors(self) -> tuple[np.ndarray, np.ndarray]:
+        """kx (n, 1) and ky (1, n/2 + 1) of the half spectrum (rfft2 layout);
+        both Nyquist wavenumbers are -pi/h, as in the fft2 layout."""
         k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
-        kx = k[:, None] * np.ones((1, self.n))
-        ky = np.ones((self.n, 1)) * k[None, :]
-        return kx, ky, kx * kx + ky * ky
+        return k[:, None], k[None, :self.n // 2 + 1]
+
+    def inv_k2(self) -> np.ndarray:
+        """1/|k|^2 on the half spectrum, 0 at k = 0 (minus the inverse Laplacian)."""
+        kx, ky = self.half_wavevectors()
+        k2 = kx * kx + ky * ky
+        k2[0, 0] = np.inf
+        return 1.0 / k2
+
+    def synthesize(self, spectra: np.ndarray) -> np.ndarray:
+        """Grid values of one half spectrum or a stack of them (batched irfft2)."""
+        return np.fft.irfft2(spectra, s=(self.n, self.n))
+
+    def derivatives(self, coeffs: np.ndarray, orders) -> np.ndarray:
+        """Fields d_x^a d_y^b f for (a, b) in ``orders``, stacked, from the half
+        spectrum ``coeffs`` of f (one, or one per order), in one irfft2.
+
+        Each multiplier (i kx)^a (i ky)^b acts by its Hermitian part, as the
+        real part of an fft2 derivative does: irfft2 takes it on the first and
+        last columns, and the Nyquist row between them is zeroed for odd a.
+        """
+        kx, ky = self.half_wavevectors()
+        coeffs = np.broadcast_to(coeffs, (len(orders), kx.size, ky.size))
+        out = np.empty(coeffs.shape, dtype=complex)
+        for j, (a, b) in enumerate(orders):
+            np.multiply(coeffs[j], kx ** a, out=out[j])
+            out[j] *= _I_POW[(a + b) % 4] * ky ** b
+            if a % 2:
+                out[j, self.n // 2, 1:-1] = 0.0
+        return self.synthesize(out)
 
     @classmethod
     def for_cutoff(cls, l_max: float, n: int, box_mult: float = 4.0) -> "TorusGrid":
@@ -63,17 +95,14 @@ class ShellField:
     """One spectral stream-function increment supported on an annulus."""
 
     grid: TorusGrid
-    coeffs: np.ndarray          # complex spectral coefficients (Hermitian)
+    coeffs: np.ndarray          # half spectrum (rfft2 layout)
     l_lo: float
     l_hi: float
     var_target: float
 
     @property
     def values(self) -> np.ndarray:
-        return np.fft.ifft2(self.coeffs).real
-
-    def imag_residue(self) -> float:
-        return float(np.max(np.abs(np.fft.ifft2(self.coeffs).imag)))
+        return self.grid.synthesize(self.coeffs)
 
 
 def sample_shell_field(grid: TorusGrid, l_lo: float, l_hi: float, eps: float,
@@ -88,7 +117,8 @@ def sample_shell_field(grid: TorusGrid, l_lo: float, l_hi: float, eps: float,
     """
     if not 1.0 <= l_lo < l_hi:
         raise ValueError("need 1 <= l_lo < l_hi")
-    _, _, k2 = grid.wavevectors()
+    kx, ky = grid.half_wavevectors()
+    k2 = kx * kx + ky * ky
     mask = (k2 > 1.0 / l_hi ** 2) & (k2 <= 1.0 / l_lo ** 2)
     if not mask.any():
         raise ValueError(
@@ -96,9 +126,11 @@ def sample_shell_field(grid: TorusGrid, l_lo: float, l_hi: float, eps: float,
             f"with mode spacing {2.0 * np.pi / grid.box_len:.4g}")
     var_target = eps ** 2 * np.log(l_hi / l_lo)
     inv_k2 = np.where(mask, 1.0 / np.where(mask, k2, 1.0), 0.0)
-    calib = var_target * grid.n ** 2 / inv_k2.sum()
+    # interior columns of the half spectrum stand for themselves and their mirrors
+    lattice = 2.0 * inv_k2.sum() - inv_k2[:, 0].sum() - inv_k2[:, -1].sum()
+    calib = var_target * grid.n ** 2 / lattice
     amp = np.sqrt(calib * inv_k2)
-    coeffs = np.fft.fft2(rng.standard_normal((grid.n, grid.n))) * amp
+    coeffs = np.fft.rfft2(rng.standard_normal((grid.n, grid.n))) * amp
     return ShellField(grid, coeffs, l_lo, l_hi, var_target)
 
 
@@ -116,32 +148,24 @@ class DriverFields:
     l_mid: float
 
 
+#: derivative orders (a, b) of the driver base field that the triple needs
+_BASE_ORDERS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
+
+
 def driver_fields(shell: ShellField, lam2: float, dlambda2: float,
                   l_mid: float) -> DriverFields:
-    """Driver triple from one shell increment at multiplier scale ``lam2``."""
-    kx, ky, k2 = shell.grid.wavevectors()
-    lam = np.sqrt(lam2)
-    live = shell.coeffs != 0.0
-    inv_k2 = np.where(live, 1.0 / np.where(live, k2, 1.0), 0.0)
-    jk = (-ky, kx)                      # rotated wave direction components
-    karr = (kx, ky)
-    base = shell.coeffs * inv_k2 / lam
-
-    dphi = np.empty((2, shell.grid.n, shell.grid.n))
-    grad = np.empty((2, 2, shell.grid.n, shell.grid.n))
-    hess = np.empty((2, 2, 2, shell.grid.n, shell.grid.n))
-    for c in range(2):
-        dphi[c] = np.fft.ifft2(1j * jk[c] * base).real
-        for a in range(2):
-            grad[c, a] = np.fft.ifft2(-karr[a] * jk[c] * base).real
-        for a in range(2):
-            for b in range(a, 2):
-                hess[c, a, b] = np.fft.ifft2(-1j * karr[a] * karr[b] * jk[c] * base).real
-                hess[c, b, a] = hess[c, a, b]
-    grad_dpsi = np.stack([np.fft.ifft2(1j * karr[a] * shell.coeffs).real
-                          for a in range(2)])
-    return DriverFields(np.fft.ifft2(shell.coeffs).real, dphi, grad, hess,
-                        grad_dpsi, lam2, dlambda2, l_mid)
+    """Driver triple from one shell increment at multiplier scale ``lam2``:
+    dphi = J grad base = (-d_y base, d_x base), base = dpsi_hat / (lam |k|^2)."""
+    grid = shell.grid
+    dpsi, *grad_dpsi = grid.derivatives(shell.coeffs, ((0, 0), (1, 0), (0, 1)))
+    base = shell.coeffs * grid.inv_k2() / np.sqrt(lam2)
+    d = dict(zip(_BASE_ORDERS, grid.derivatives(base, _BASE_ORDERS)))
+    dphi = np.array([-d[0, 1], d[1, 0]])
+    grad = np.array([[-d[1, 1], -d[0, 2]], [d[2, 0], d[1, 1]]])
+    hess = np.array([[[-d[2, 1], -d[1, 2]], [-d[1, 2], -d[0, 3]]],
+                     [[d[3, 0], d[2, 1]], [d[2, 1], d[1, 2]]]])
+    return DriverFields(dpsi, dphi, grad, hess, np.array(grad_dpsi),
+                        lam2, dlambda2, l_mid)
 
 
 @dataclass

@@ -30,6 +30,7 @@ the non-equi-integrability mechanism.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,7 +258,7 @@ def zeta_at_origin(cfg: TailConfig) -> float:
     return 2.0 * ramp.value(cfg.tau, np.log(2.0))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundTerms:
     i1: float
     i2: float
@@ -300,6 +301,14 @@ def bound_terms(cfg: TailConfig, n_tau: int = 200, n_scan: int = 800) -> BoundTe
         f1[i] = np.exp(-tp / 2.0) * m21
         f2[i] = np.exp(-1.5 * tp) * m10
     return BoundTerms(float(np.trapezoid(f1, taus)), float(np.trapezoid(f2, taus)), cfg.tau)
+
+
+@functools.lru_cache(maxsize=16)
+def _bound_terms_at(tau: float) -> BoundTerms:
+    """:func:`bound_terms` at ``tau``.  Its scan windows move with sigma_hat
+    and the suprema are translation invariant, so the terms depend on tau
+    alone; they are evaluated once per tau, at sigma_hat = 0."""
+    return bound_terms(TailConfig(tau, 0.0))
 
 
 def relative_threshold(lambda2: float, margin: float) -> float:
@@ -379,7 +388,7 @@ def verify_tail(samples_f2: np.ndarray, eps: float, lambda2: float,
         + 2.0 * BULLET_OPNORM * cst["k3"] * eps ** 2
     c2 = 0.5 * cst["k3"]
     z0 = zeta_at_origin(cfg)
-    terms = bound_terms(cfg)
+    terms = _bound_terms_at(cfg.tau)
     rhs = z0 + c1 * terms.i1 + c2 * eps ** 2 * terms.i2
 
     warnings = []

@@ -19,40 +19,36 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corrector import sample_stream_function
+from .corrector import CoefField, sample_stream_function
 from .fieldsim import TorusGrid
 from .rng import stream
 
 
 @dataclass
 class DriftField:
-    """Grid drift b = J grad psi with bilinear lookup (order 1)."""
+    """Grid drift b = J grad psi with bilinear lookup (order 1); a drift marked
+    ``is_zero`` is skipped by the integrators."""
 
     b: np.ndarray               # (2, n, n)
     grid: TorusGrid
+    is_zero: bool = False
 
     @classmethod
-    def from_stream(cls, psi: np.ndarray, grid: TorusGrid) -> "DriftField":
-        kx, ky, _ = grid.wavevectors()
-        ph = np.fft.fft2(psi)
-        b = np.stack([np.fft.ifft2(-1j * ky * ph).real,
-                      np.fft.ifft2(1j * kx * ph).real])
-        return cls(b, grid)
+    def from_stream(cls, coef: CoefField) -> "DriftField":
+        """b = (-d_y psi, d_x psi) from the stream function's half spectrum."""
+        b = coef.grid.derivatives(coef.psi_hat, ((0, 1), (1, 0)))
+        b[0] *= -1.0
+        return cls(b, coef.grid)
 
     @classmethod
     def zero(cls, grid: TorusGrid) -> "DriftField":
-        return cls(np.zeros((2, grid.n, grid.n)), grid)
+        return cls(np.zeros((2, grid.n, grid.n)), grid, is_zero=True)
 
     def max_divergence(self) -> float:
         """Spectral divergence residue; zero for any stream-function drift."""
-        kx, ky, _ = self.grid.wavevectors()
-        div = np.fft.ifft2(1j * kx * np.fft.fft2(self.b[0])
-                           + 1j * ky * np.fft.fft2(self.b[1])).real
+        div = self.grid.derivatives(np.fft.rfft2(self.b), ((1, 0), (0, 1))).sum(axis=0)
         scale = max(float(np.max(np.abs(self.b))), 1.0)
         return float(np.max(np.abs(div)) / scale)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.sqrt(self.b[0] ** 2 + self.b[1] ** 2)))
 
     def at(self, pos: np.ndarray) -> np.ndarray:
         """Bilinear drift lookup at unwrapped positions of shape (m, 2)."""
@@ -130,7 +126,8 @@ def euler_maruyama(drift: DriftField, dt: float, t_end: float, n_paths: int,
     targets = {int(s): j for j, s in enumerate(sample_idx)}
 
     for step_i in range(1, n_steps + 1):
-        x += drift.at(x) * dt + root2dt * rng.standard_normal((n_paths, 2))
+        step = root2dt * rng.standard_normal((n_paths, 2))
+        x += step if drift.is_zero else step + drift.at(x) * dt
         j = targets.get(step_i)
         if j is not None:
             d2 = x ** 2
@@ -200,8 +197,8 @@ def annealed_msd(eps: float, l_max: float, n: int, dt: float, t_end: float,
         sample_times = default_sample_times(dt, t_end)
     per_env = np.empty((n_envs, 2, len(sample_times)))
     for e in range(n_envs):
-        coef = sample_stream_function(grid, eps, l_max, stream(seed, "particle-env", e))
-        drift = DriftField.from_stream(coef.psi, grid)
+        drift = DriftField.from_stream(
+            sample_stream_function(grid, eps, l_max, stream(seed, "particle-env", e)))
         est = euler_maruyama(drift, dt, t_end, paths_per_env,
                              stream(seed, "particle-path", e),
                              sample_times=sample_times)
@@ -224,7 +221,8 @@ def occupancy_counts(drift: DriftField, dt: float, t_end: float, n_paths: int,
     steps = int(round(t_end / dt))
     root2dt = np.sqrt(2.0 * dt)
     for _ in range(steps):
-        x += drift.at(x) * dt + root2dt * rng.standard_normal((n_paths, 2))
+        step = root2dt * rng.standard_normal((n_paths, 2))
+        x += step if drift.is_zero else step + drift.at(x) * dt
     cell = np.floor(x / drift.grid.box_len * n_cells).astype(np.int64) % n_cells
     flat = cell[:, 0] * n_cells + cell[:, 1]
     return np.bincount(flat, minlength=n_cells * n_cells)

@@ -11,6 +11,16 @@ E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
 
 
+def _upsample(coef, factor):
+    """Spectral zero-padding: the same band-limited realization on a finer grid."""
+    half, m = coef.grid.n // 2, coef.grid.n * factor
+    dst = np.zeros((m, m // 2 + 1), dtype=complex)
+    dst[:half, :half + 1] = coef.psi_hat[:half]
+    dst[m - half:, :half + 1] = coef.psi_hat[half:]
+    return co.CoefField(dst * factor ** 2, TorusGrid(m, coef.grid.box_len), coef.eps,
+                        coef.l_max)
+
+
 @pytest.fixture(scope="module")
 def sample_problem():
     grid = TorusGrid.for_cutoff(16.0, 256, 4.0)
@@ -31,13 +41,13 @@ def krylov_and_fallback():
 class TestSolve:
     def test_zero_stream_gives_zero_corrector(self):
         grid = TorusGrid(64, 40.0)
-        coef = co.CoefField(np.zeros((64, 64)), grid, 0.1, 4.0)
+        coef = co.CoefField(np.fft.rfft2(np.zeros((64, 64))), grid, 0.1, 4.0)
         sol = co.solve_corrector(coef, E1)
         assert np.all(sol.phi == 0.0) and sol.fallback_steps == 0
 
     def test_constant_stream_gives_zero_corrector(self):
         grid = TorusGrid(64, 40.0)
-        coef = co.CoefField(np.full((64, 64), 2.7), grid, 0.1, 4.0)
+        coef = co.CoefField(np.fft.rfft2(np.full((64, 64), 2.7)), grid, 0.1, 4.0)
         sol = co.solve_corrector(coef, E1)
         assert np.allclose(sol.phi, 0.0, atol=1e-12)
 
@@ -63,20 +73,53 @@ class TestSolve:
         assert a.iterations > 0 and a.fallback_steps == 0
         assert b.iterations == 0 and b.fallback_steps > 0
 
+    def test_fft_budget_per_matvec(self, monkeypatch):
+        # the lgmres callback makes no FFT, and a solve costs at most 5 FFT
+        # calls per matvec plus a constant for set-up and the final check
+        grid = TorusGrid.for_cutoff(8.0, 128, 4.0)
+        coef = co.sample_stream_function(grid, 0.15, 8.0, stream(2, "coef", 0))
+        ffts, matvecs, in_callback = [0], [0], [0]
+        for name in ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn",
+                     "irfftn", "fft", "ifft", "rfft", "irfft"):
+            orig = getattr(np.fft, name)
+
+            def counted(*args, _orig=orig, **kwargs):
+                ffts[0] += 1
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        orig_lgmres = co.lgmres
+
+        def lgmres(a, b, *args, callback=None, **kwargs):
+            def matvec(v):
+                matvecs[0] += 1
+                return a.matvec(v)
+
+            def watched(xk):
+                before = ffts[0]
+                callback(xk)
+                in_callback[0] += ffts[0] - before
+            return orig_lgmres(co.LinearOperator(a.shape, matvec=matvec, dtype=float),
+                               b, *args, callback=watched, **kwargs)
+        monkeypatch.setattr(co, "lgmres", lgmres)
+        sol = co.solve_corrector(coef, E1, tol=1e-10)
+        assert sol.fallback_steps == 0 and sol.iterations > 0 and matvecs[0] > 0
+        assert in_callback[0] == 0
+        assert ffts[0] <= 5 * matvecs[0] + 6
+
     def test_rejects_bad_inputs(self):
         grid = TorusGrid(64, 40.0)
-        coef = co.CoefField(np.full((64, 64), np.nan), grid, 0.1, 4.0)
+        coef = co.CoefField(np.fft.rfft2(np.full((64, 64), np.nan)), grid, 0.1, 4.0)
         with pytest.raises(ValueError):
             co.solve_corrector(coef, E1)
         with pytest.raises(ValueError):
-            co.solve_corrector(co.CoefField(np.zeros((64, 64)), grid, 0.1, 4.0),
+            co.solve_corrector(co.CoefField(np.fft.rfft2(np.zeros((64, 64))), grid, 0.1, 4.0),
                                E1, tol=-1.0)
 
 
 class TestDiffusivity:
     def test_trivial_value_for_zero_stream(self):
         grid = TorusGrid(64, 40.0)
-        coef = co.CoefField(np.zeros((64, 64)), grid, 0.1, 4.0)
+        coef = co.CoefField(np.fft.rfft2(np.zeros((64, 64))), grid, 0.1, 4.0)
         sol = co.solve_corrector(coef, E1)
         assert co.effective_lambda(sol) == 1.0
 
@@ -123,7 +166,7 @@ class TestDiffusivity:
 class TestJacobianStats:
     def test_trivial_stream(self):
         grid = TorusGrid(64, 40.0)
-        coef = co.CoefField(np.zeros((64, 64)), grid, 0.1, 4.0)
+        coef = co.CoefField(np.fft.rfft2(np.zeros((64, 64))), grid, 0.1, 4.0)
         s1, s2 = co.solve_corrector(coef, E1), co.solve_corrector(coef, E2)
         st = co.jacobian_stats(s1, s2)
         assert st.mean_f2 == 2.0 and st.mean_abs_det == 1.0 and st.mean_det == 1.0
@@ -146,24 +189,12 @@ class TestJacobianStats:
         assert st.truncated[8.0] == 1.0
 
 
-class TestSnapshot:
-    def test_jacobian_snapshot_roundtrip(self, tmp_path, sample_problem):
-        from scalehom.fieldsim import load_snapshot
-        coef, sol1, sol2 = sample_problem
-        path = tmp_path / "jacobian.bin"
-        co.save_jacobian_snapshot(path, sol1, sol2, coef)
-        state, box = load_snapshot(path)
-        assert box == coef.grid.box_len
-        assert np.array_equal(state.f, co.jacobian_field(sol1, sol2))
-        assert state.lambda2 == pytest.approx(1.0 + coef.eps ** 2 * np.log(coef.l_max))
-
-
 class TestMeshConvergence:
     def test_lambda_stable_under_refinement(self):
         # identical band-limited realization on two grids via zero padding
         grid = TorusGrid.for_cutoff(16.0, 256, 4.0)
         coef = co.sample_stream_function(grid, 0.2, 16.0, stream(7, "m", 0))
-        fine = co.upsample(coef, 2)
+        fine = _upsample(coef, 2)
         assert abs(fine.psi.mean() - coef.psi.mean()) < 1e-12
         assert abs(np.mean(fine.psi ** 2) / np.mean(coef.psi ** 2) - 1.0) < 1e-10
         lam_c = co.effective_lambda(co.solve_corrector(coef, E1, tol=1e-10))
@@ -201,6 +232,7 @@ class TestNonConformalTrend:
                 coef = co.sample_stream_function(grid, 0.4, l_max, stream(8, "t", s))
                 s1 = co.solve_corrector(coef, E1, tol=1e-9)
                 s2 = co.solve_corrector(coef, E2, tol=1e-9)
-                vals.append(co.jacobian_stats(s1, s2).det_to_f2)
+                st = co.jacobian_stats(s1, s2)
+                vals.append(st.mean_abs_det / st.mean_f2)
             ratios.append(np.mean(vals))
         assert np.all(np.diff(ratios) < 0.0)

@@ -8,6 +8,16 @@ from scalehom import proxysde
 from scalehom.rng import stream
 
 
+def _hermitian_completion(half: np.ndarray) -> np.ndarray:
+    """Full n x n spectrum of a real field from its rfft2 half spectrum."""
+    n = half.shape[0]
+    full = np.empty((n, n), dtype=complex)
+    full[:, :half.shape[1]] = half
+    cols = np.arange(half.shape[1], n)
+    full[:, cols] = np.conj(half[(-np.arange(n)) % n][:, n - cols])
+    return full
+
+
 @pytest.fixture(scope="module")
 def small_grid():
     return fs.TorusGrid.for_cutoff(16.0, 128, 4.0)
@@ -26,10 +36,76 @@ class TestGrid:
             fs.TorusGrid(100, 10.0)
 
     def test_cutoff_box_resolves_band(self, small_grid):
-        kx, ky, k2 = small_grid.wavevectors()
+        kx, ky = small_grid.half_wavevectors()
+        k2 = kx * kx + ky * ky
         assert np.sqrt(k2.max()) >= np.sqrt(2.0)   # UV edge resolvable
         positive = np.sqrt(k2[k2 > 0])
         assert positive.min() <= 1.0 / 16.0 / 4.0 * 1.01   # IR edge oversampled
+
+
+class TestSpectralHelper:
+    """Each derivative equals the real part of the full complex-FFT one."""
+
+    ORDERS = ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2),
+              (3, 0), (2, 1), (1, 2), (0, 3))
+
+    @staticmethod
+    def _reference(values, grid, a, b):
+        k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+        mult = (1j * k[:, None]) ** a * (1j * k[None, :]) ** b
+        return np.fft.ifft2(mult * np.fft.fft2(values)).real
+
+    def _check(self, grid, values):
+        got = grid.derivatives(np.fft.rfft2(values), self.ORDERS)
+        for (a, b), plane in zip(self.ORDERS, got):
+            ref = self._reference(values, grid, a, b)
+            assert np.max(np.abs(plane - ref)) <= 1e-13 * np.max(np.abs(ref)), (a, b)
+
+    def test_white_noise_incl_nyquist(self):
+        # every mode populated, the Nyquist row, column and corner included
+        grid = fs.TorusGrid(32, 7.0)
+        self._check(grid, stream(11, "helper").standard_normal((32, 32)))
+
+    def test_first_shell_on_nyquist_edge(self):
+        # 256^2 at l_max 32: pi/h = 1, so the first shell's edge |k| = 1 is
+        # the Nyquist wavenumber
+        cfg = fs.FieldConfig(eps=0.66, l_max=32.0, n=256)
+        grid = cfg.grid()
+        assert np.pi / grid.spacing == pytest.approx(1.0, rel=1e-14)
+        ladder = cfg.shells()
+        sh = fs.sample_shell_field(grid, ladder[0], ladder[1], 0.66, stream(12, "edge"))
+        assert np.any(sh.coeffs[grid.n // 2] != 0.0) or np.any(sh.coeffs[:, -1] != 0.0)
+        self._check(grid, sh.values)
+
+    def test_one_spectrum_per_order(self):
+        grid = fs.TorusGrid(32, 7.0)
+        gen = stream(13, "helper")
+        u, v = gen.standard_normal((2, 32, 32))
+        got = grid.derivatives(np.fft.rfft2(np.stack([u, v])), ((1, 0), (0, 1)))
+        ref = self._reference(u, grid, 1, 0) + self._reference(v, grid, 0, 1)
+        assert np.max(np.abs(got.sum(axis=0) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_driver_fields_match_complex_multipliers(self):
+        # the driver triple against the hand-built complex multipliers
+        cfg = fs.FieldConfig(eps=0.66, l_max=32.0, n=256)
+        grid = cfg.grid()
+        ladder = cfg.shells()
+        sh = fs.sample_shell_field(grid, ladder[0], ladder[1], 0.66, stream(14, "drv"))
+        drv = fs.driver_fields(sh, 1.3, 0.02, 1.1)
+        k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+        kx, ky = k[:, None], k[None, :]
+        k2 = kx * kx + ky * ky
+        full = np.fft.fft2(sh.values)
+        base = full * np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0) / np.sqrt(1.3)
+        jk, karr = (-ky, kx), (kx, ky)
+        for c in range(2):
+            want = [(drv.dphi[c], 1j * jk[c])]
+            want += [(drv.grad[c, a], -karr[a] * jk[c]) for a in range(2)]
+            want += [(drv.hess[c, a, b], -1j * karr[a] * karr[b] * jk[c])
+                     for a in range(2) for b in range(2)]
+            for plane, mult in want:
+                ref = np.fft.ifft2(mult * base).real
+                assert np.max(np.abs(plane - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestShellSampling:
@@ -42,12 +118,18 @@ class TestShellSampling:
         assert abs(np.mean(vals) - target) < max(5 * se, 0.03 * target)
 
     def test_field_is_real(self, small_grid):
+        # the half spectrum, completed by Hermitian symmetry, synthesizes a
+        # real field equal to the stored values
         sh = fs.sample_shell_field(small_grid, 2.0, 4.0, 0.4, stream(2, "r"))
-        assert sh.imag_residue() < 1e-12
+        full = _hermitian_completion(sh.coeffs)
+        ref = np.fft.ifft2(full)
+        assert np.max(np.abs(ref.imag)) <= 1e-13 * np.max(np.abs(ref.real))
+        assert np.max(np.abs(sh.values - ref.real)) <= 1e-13 * np.max(np.abs(ref.real))
 
     def test_coefficients_confined_to_annulus(self, small_grid):
         sh = fs.sample_shell_field(small_grid, 2.0, 4.0, 0.4, stream(3, "a"))
-        _, _, k2 = small_grid.wavevectors()
+        kx, ky = small_grid.half_wavevectors()
+        k2 = kx * kx + ky * ky
         outside = (k2 <= 1.0 / 16.0) | (k2 > 1.0 / 4.0)
         assert np.all(sh.coeffs[outside] == 0.0)
 

@@ -259,6 +259,23 @@ class TestVerifyTail:
         with pytest.raises(ValueError):
             ko.verify_tail(np.array([]), eps=0.2, lambda2=9.0)
 
+    def test_bound_terms_once_per_tau(self, monkeypatch):
+        # the remainder integrals depend on tau only: two margins at one
+        # lambda2 share one bound_terms evaluation and its values
+        orig, taus = ko.bound_terms, []
+
+        def counting(cfg, *args, **kwargs):
+            taus.append(cfg.tau)
+            return orig(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(ko, "bound_terms", counting)
+        ko._bound_terms_at.cache_clear()
+        f2 = 10.0 * np.random.default_rng(7).lognormal(-0.5, 1.0, 5_000)
+        narrow = ko.verify_tail(f2, eps=0.2, lambda2=16.0, margin=0.1)
+        wide = ko.verify_tail(f2, eps=0.2, lambda2=16.0, margin=1.0)
+        assert taus == [np.log(16.0)]
+        assert (narrow.i1, narrow.i2) == (wide.i1, wide.i2)
+
     @pytest.mark.parametrize("margin, pinned, verdicts", [
         (0.1, (1.1078868372978419, 0.6614809831690601, 0.005094895314451847,
                0.7184822927404231), (True, True)),

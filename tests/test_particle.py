@@ -14,7 +14,7 @@ from scalehom.rng import stream
 def drift_env():
     grid = TorusGrid.for_cutoff(16.0, 512, 2.0)
     coef = sample_stream_function(grid, 0.4, 16.0, stream(3, "env"))
-    return pa.DriftField.from_stream(coef.psi, grid)
+    return pa.DriftField.from_stream(coef)
 
 
 class TestDriftField:
@@ -22,8 +22,8 @@ class TestDriftField:
         assert drift_env.max_divergence() < 1e-10
 
     def test_finite_amplitude(self, drift_env):
-        assert np.isfinite(drift_env.sup_norm())
-        assert drift_env.sup_norm() > 0.0
+        assert np.all(np.isfinite(drift_env.b))
+        assert np.max(np.hypot(drift_env.b[0], drift_env.b[1])) > 0.0
 
     def test_interpolation_exact_on_nodes(self, drift_env):
         h = drift_env.grid.spacing
@@ -47,6 +47,21 @@ class TestPureDiffusion:
                                 stream(0, "b0"))
         slope = est.msd[:, -1] / est.times[-1]
         assert np.all(np.abs(slope - 2.0) < 0.02)
+
+    def test_zero_drift_skips_lookup_bit_identically(self, monkeypatch):
+        # DriftField.zero skips the lookup; a zero-valued field that is not
+        # marked still goes through it, and both give the same bits
+        grid = TorusGrid(32, 20.0)
+        plain = pa.DriftField(np.zeros((2, 32, 32)), grid)
+        ref = pa.euler_maruyama(plain, 0.1, 5.0, 2_000, stream(3, "z"))
+        lookups = []
+        monkeypatch.setattr(pa.DriftField, "at",
+                            lambda self, pos: lookups.append(len(pos)) or 0.0 * pos)
+        est = pa.euler_maruyama(pa.DriftField.zero(grid), 0.1, 5.0, 2_000, stream(3, "z"))
+        assert lookups == []
+        assert np.array_equal(est.msd, ref.msd) and np.array_equal(est.se, ref.se)
+        pa.occupancy_counts(pa.DriftField.zero(grid), 0.1, 1.0, 100, stream(4, "z"))
+        assert lookups == []
 
     def test_msd_linear_across_times(self):
         grid = TorusGrid(32, 20.0)
