@@ -1,12 +1,13 @@
 """Experiment orchestration: config parsing, dispatch, and atomic outputs.
 
 Configs are plain ``key = value`` text with one section per module; unknown
-sections or keys are rejected and every numeric range is validated before any
-work starts.  Outputs are written atomically (temporary file, then rename):
-CSV data with 17 significant digits plus a JSON sidecar carrying the config
-hash, package and library versions, seed, and wall time.  Data files are
-byte-identical across repeated runs with the same config and seed,
-independent of the worker count; wall time lives only in the sidecar.
+sections or keys are rejected and every value, from a file or a flag, is
+validated before any work starts.  Each command is a row of ``COMMANDS``
+whose runner computes named outputs; ``dispatch`` writes each atomically
+(CSV with 17 significant digits, JSON, or a field snapshot) with a JSON
+sidecar carrying the config hash, versions, seed, and wall time.  Data files
+are byte-identical across runs with the same config and seed, for any worker
+count; wall time lives only in the sidecars.
 
 Exit codes: 0 success, 1 argument/config validation failure, 2 numeric
 failure (non-convergence, non-finite states, failed acceptance criteria).
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+from collections import namedtuple
 import hashlib
 import io
 import json
@@ -31,117 +33,103 @@ import scipy
 from . import __version__, acceptance, corrector, fieldsim, kolmogorov, \
     momentodes, particle, proxysde
 
+
+def parse_list(raw: str, caster=float) -> list:
+    return [caster(tok.strip()) for tok in raw.split(",") if tok.strip()]
+
+
+def _entries(desc: str, caster=float, ok=lambda v: True, empty_ok=False) -> tuple:
+    """Predicate on a comma list: every entry parses and passes ``ok``."""
+    def check(raw: str) -> bool:
+        try:
+            vals = parse_list(raw, caster)
+        except ValueError:
+            return False
+        return (empty_ok or bool(vals)) and all(ok(v) for v in vals)
+    return desc, check
+
+
 _POS = ("positive", lambda v: v > 0)
 _NONNEG = ("nonnegative", lambda v: v >= 0)
 _GT1 = ("> 1", lambda v: v > 1)
+_POW2 = ("power of two", lambda v: v > 1 and v & (v - 1) == 0)
 
-#: section -> key -> (parser, predicate description, predicate)
+#: section -> key -> (default text, parser, (predicate description, predicate)
+#: or None); ``DEFAULT_CONFIG`` is rendered from the defaults
 SCHEMA = {
     "run": {
-        "seed": (int, _NONNEG),
-        "threads": (int, _POS),
-        "out_dir": (str, None),
+        "seed": ("11", int, _NONNEG),
+        "threads": ("1", int, _POS),
+        "out_dir": (".", str, None),
     },
     "sde": {
-        "eps": (float, _NONNEG),
-        "lambda2_max": (float, _GT1),
-        "n_steps": (int, _POS),
-        "n_traj": (int, _POS),
-        "mode": (str, ("full or exp", lambda v: v in ("full", "exp"))),
-        "record_stride": (int, _POS),
-        "snapshot_points": (str, None),
+        "eps": ("0.2", float, _NONNEG),
+        "lambda2_max": ("4.0", float, _GT1),
+        "n_steps": ("400", int, _POS),
+        "n_traj": ("100000", int, _POS),
+        "mode": ("full", str, ("full or exp", lambda v: v in ("full", "exp"))),
+        "record_stride": ("1", int, _POS),
+        "snapshot_points": ("", str, _entries("a comma list of numbers", empty_ok=True)),
     },
     "ode": {
-        "eps": (float, _NONNEG),
-        "x_end": (float, _GT1),
-        "n_points": (int, ("at least 2", lambda v: v >= 2)),
+        "eps": ("0.2", float, _NONNEG),
+        "x_end": ("4.0", float, _GT1),
+        "n_points": ("201", int, ("at least 2", lambda v: v >= 2)),
     },
     "tail": {
-        "tau": (float, _POS),
-        "sigma_hat": (float, None),
-        "margin": (float, _POS),
+        "tau": ("3.2188758248682006", float, _POS),
+        "sigma_hat": ("-3.29", float, None),
+        "margin": ("0.1", float, _POS),
     },
     "field": {
-        "eps": (float, _POS),
-        "l_max": (float, _GT1),
-        "n": (int, ("power of two", lambda v: v > 1 and v & (v - 1) == 0)),
-        "box_mult": (float, _POS),
-        "n_samples": (int, _POS),
-        "save_snapshot": (str, ("true or false", lambda v: v in ("true", "false"))),
+        "eps": ("0.6578818376172799", float, _POS),
+        "l_max": ("32.0", float, _GT1),
+        "n": ("256", int, _POW2),
+        "box_mult": ("4.0", float, _POS),
+        "n_samples": ("24", int, _POS),
+        "save_snapshot": ("false", str, ("true or false", lambda v: v in ("true", "false"))),
     },
     "corrector": {
-        "eps": (float, _POS),
-        "l_max": (float, _GT1),
-        "n": (int, ("power of two", lambda v: v > 1 and v & (v - 1) == 0)),
-        "box_mult": (float, _POS),
-        "n_samples": (int, _POS),
-        "tol": (float, _POS),
+        "eps": ("0.05", float, _POS),
+        "l_max": ("32.0", float, _GT1),
+        "n": ("512", int, _POW2),
+        "box_mult": ("4.0", float, _POS),
+        "n_samples": ("20", int, _POS),
+        "tol": ("1e-10", float, _POS),
     },
     "particle": {
-        "eps": (float, _NONNEG),
-        "l_list": (str, None),
-        "n_list": (str, None),
-        "dt": (float, ("in (0, 0.1]", lambda v: 0 < v <= 0.1)),
-        "t_end": (float, _POS),
-        "n_envs": (int, _POS),
-        "paths_per_env": (int, _POS),
+        "eps": ("0.4", float, _NONNEG),
+        "l_list": ("16, 64", str, _entries("a non-empty comma list of numbers > 1",
+                                           ok=_GT1[1])),
+        "n_list": ("512, 2048", str, _entries("a non-empty comma list of powers of two",
+                                              int, _POW2[1])),
+        "dt": ("0.1", float, ("in (0, 0.1]", lambda v: 0 < v <= 0.1)),
+        "t_end": ("250.0", float, _POS),
+        "n_envs": ("12", int, _POS),
+        "paths_per_env": ("8192", int, _POS),
     },
 }
 
-DEFAULT_CONFIG = """\
-[run]
-seed = 11
-threads = 1
-out_dir = .
-
-[sde]
-eps = 0.2
-lambda2_max = 4.0
-n_steps = 400
-n_traj = 100000
-mode = full
-record_stride = 1
-snapshot_points =
-
-[ode]
-eps = 0.2
-x_end = 4.0
-n_points = 201
-
-[tail]
-tau = 3.2188758248682006
-sigma_hat = -3.29
-margin = 0.1
-
-[field]
-eps = 0.6578818376172799
-l_max = 32.0
-n = 256
-box_mult = 4.0
-n_samples = 24
-save_snapshot = false
-
-[corrector]
-eps = 0.05
-l_max = 32.0
-n = 512
-box_mult = 4.0
-n_samples = 20
-tol = 1e-10
-
-[particle]
-eps = 0.4
-l_list = 16, 64
-n_list = 512, 2048
-dt = 0.1
-t_end = 250.0
-n_envs = 12
-paths_per_env = 8192
-"""
+DEFAULT_CONFIG = "\n".join(
+    f"[{section}]\n" + "".join(f"{key} = {row[0]}".rstrip() + "\n" for key, row in keys.items())
+    for section, keys in SCHEMA.items())
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _value(section: str, key: str, raw: str):
+    """Cast and range-check one value, from a config file or from a flag."""
+    _, caster, check = SCHEMA[section][key]
+    try:
+        val = caster(raw)
+    except ValueError as exc:
+        raise ConfigError(
+            f"[{section}] {key} = {raw!r}: not a valid {caster.__name__}") from exc
+    if check is not None and not check[1](val):
+        raise ConfigError(f"[{section}] {key} = {raw!r}: must be {check[0]}")
+    return val
 
 
 class RunConfig:
@@ -167,55 +155,43 @@ class RunConfig:
         for section in parser.sections():
             if section not in SCHEMA:
                 raise ConfigError(f"unknown section [{section}]")
-            out = {}
-            for key, raw in parser[section].items():
-                if key not in SCHEMA[section]:
-                    raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                caster, check = SCHEMA[section][key]
-                try:
-                    val = caster(raw)
-                except ValueError as exc:
-                    raise ConfigError(
-                        f"[{section}] {key} = {raw!r}: not a valid "
-                        f"{caster.__name__}") from exc
-                if check is not None and not check[1](val):
-                    raise ConfigError(f"[{section}] {key} = {raw!r}: must be {check[0]}")
-                out[key] = val
-            sections[section] = out
+            unknown = [key for key in parser[section] if key not in SCHEMA[section]]
+            if unknown:
+                raise ConfigError(f"unknown key {unknown[0]!r} in section [{section}]")
+            sections[section] = {key: _value(section, key, raw)
+                                 for key, raw in parser[section].items()}
         for section, keys in SCHEMA.items():
             missing = set(keys) - set(sections.get(section, ()))
             if missing:
                 raise ConfigError(
                     f"missing keys in section [{section}]: {sorted(missing)}")
+        part = sections["particle"]
+        if len(parse_list(part["l_list"])) != len(parse_list(part["n_list"])):
+            raise ConfigError("[particle] l_list and n_list must have equal length")
         return cls(sections)
 
     @classmethod
     def load(cls, path: str) -> "RunConfig":
         if path == "default":
             return cls.parse(DEFAULT_CONFIG)
-        return cls.parse(Path(path).read_text())
+        try:
+            text = Path(path).read_text()
+        except OSError as exc:
+            raise ConfigError(str(exc)) from exc
+        return cls.parse(text)
 
     def dumps(self) -> str:
         parser = configparser.ConfigParser()
         for section, keys in self.sections.items():
-            parser[section] = {k: self._fmt(v) for k, v in keys.items()}
+            parser[section] = {k: repr(v) if isinstance(v, float) else str(v)
+                               for k, v in keys.items()}
         buf = io.StringIO()
         parser.write(buf)
         return buf.getvalue()
 
-    @staticmethod
-    def _fmt(v) -> str:
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
     def sha256(self) -> str:
         payload = json.dumps(self.sections, sort_keys=True, default=repr)
         return hashlib.sha256(payload.encode()).hexdigest()
-
-    @staticmethod
-    def parse_list(raw: str, caster=float) -> list:
-        return [caster(tok.strip()) for tok in raw.split(",") if tok.strip()]
 
 
 def atomic_write(path: Path, data: str | bytes) -> None:
@@ -233,284 +209,227 @@ def atomic_write(path: Path, data: str | bytes) -> None:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    buf = io.StringIO()
-    buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    atomic_write(path, buf.getvalue())
+    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    atomic_write(path, "\n".join(lines) + "\n")
 
 
 def write_sidecar(path: Path, cfg: RunConfig, seed: int, wall_s: float,
                   extra: dict | None = None) -> None:
-    payload = {
-        "config_sha256": cfg.sha256(),
-        "scalehom_version": __version__,
-        "numpy_version": np.__version__,
-        "scipy_version": scipy.__version__,
-        "seed": seed,
-        "wall_time_s": wall_s,
-    }
-    if extra:
-        payload.update(extra)
+    payload = {"config_sha256": cfg.sha256(), "scalehom_version": __version__,
+               "numpy_version": np.__version__, "scipy_version": scipy.__version__,
+               "seed": seed, "wall_time_s": wall_s, **(extra or {})}
     atomic_write(path.with_suffix(path.suffix + ".meta.json"),
                  json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
 
 
-def _run_common(cfg: RunConfig, args) -> tuple[int, int, Path]:
-    seed = args.seed if args.seed is not None else cfg["run"]["seed"]
-    threads = args.threads if args.threads is not None else cfg["run"]["threads"]
-    out = Path(args.out if args.out is not None else cfg["run"]["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return seed, threads, out
+#: output kinds of a runner besides JSON payloads (dicts)
+Csv = namedtuple("Csv", "header rows")
+Snapshot = namedtuple("Snapshot", "state box_len")
 
 
-def cmd_sde_run(cfg: RunConfig, args) -> int:
-    seed, threads, out = _run_common(cfg, args)
-    sec = cfg["sde"]
-    t0 = time.perf_counter()
+def _moment_header(lead: list[str]) -> list[str]:
+    return lead + [f"E_{n}" for n in proxysde.MOMENT_NAMES] \
+        + [f"se_{n}" for n in proxysde.MOMENT_NAMES]
+
+
+# A runner takes its config section (None for commands without one), the
+# seed and the thread count, and returns (outputs, sidecar extras, passed):
+# outputs map file names to a Csv, a Snapshot or a JSON payload.  A
+# snapshot's path is recorded in every sidecar of the run.
+
+def run_qv_check(sec, seed, threads):
+    r1 = acceptance.criterion_1_algebra()
+    r2 = acceptance.criterion_2_covariance()
+    return {"qv_check.json": {r.name: r.payload() for r in (r1, r2)}}, {}, \
+        r1.passed and r2.passed
+
+
+def run_sde(sec, seed, threads):
     run = proxysde.SdeConfig(
         eps=sec["eps"], lambda2_max=sec["lambda2_max"], n_steps=sec["n_steps"],
         n_traj=sec["n_traj"], seed=seed, mode=sec["mode"],
         record_stride=sec["record_stride"], workers=threads,
-        snapshot_points=tuple(RunConfig.parse_list(sec["snapshot_points"])))
-    res = proxysde.run_ensemble(run)
-    s = res.series
-    path = out / "sde_series.csv"
-    header = ["lambda2", "ln_l"] + [f"E_{n}" for n in proxysde.MOMENT_NAMES] \
-        + [f"se_{n}" for n in proxysde.MOMENT_NAMES]
+        snapshot_points=tuple(parse_list(sec["snapshot_points"])))
+    s = proxysde.run_ensemble(run).series
     rows = [[s.lambda2[i], s.ln_l[i], *s.means[i], *s.ses[i]]
             for i in range(len(s.lambda2))]
-    write_csv(path, header, rows)
-    write_sidecar(path, cfg, seed, time.perf_counter() - t0,
-                  {"n_traj": run.n_traj, "mode": run.mode})
-    print(f"wrote {path}")
-    return 0
+    return {"sde_series.csv": Csv(_moment_header(["lambda2", "ln_l"]), rows)}, \
+        {"n_traj": run.n_traj, "mode": run.mode}, True
 
 
-def cmd_ode_run(cfg: RunConfig, args) -> int:
-    seed, _, out = _run_common(cfg, args)
-    sec = cfg["ode"]
-    t0 = time.perf_counter()
+def run_ode(sec, seed, threads):
     xs = np.linspace(1.0, sec["x_end"], sec["n_points"])
     table = momentodes.integrate_moments(sec["eps"], sec["x_end"],
                                          momentodes.ClosureSource.bound(), x_eval=xs)
     env = momentodes.envelope(sec["eps"], sec["x_end"])
-    b_lo = np.interp(xs, env.x, env.b_low)
-    b_hi = np.interp(xs, env.x, env.b_high)
-    c_lo = np.interp(xs, env.x, env.c_low)
-    c_hi = np.interp(xs, env.x, env.c_high)
-    path = out / "ode_series.csv"
+    bounds = [np.interp(xs, env.x, col)
+              for col in (env.b_low, env.b_high, env.c_low, env.c_high)]
     ln_l = (xs - 1.0) / sec["eps"] ** 2 if sec["eps"] > 0 else np.zeros_like(xs)
     header = ["lambda2", "ln_l", "E_phi2_resc", "E_phi4_resc", "E_f2", "E_f4",
               "E_det", "E_det2", "env_f4_low", "env_f4_high", "env_det2_low",
               "env_det2_high"]
     rows = [[xs[i], ln_l[i], table.a_resc[i], table.b_resc[i], table.big_a[i],
-             table.big_b[i], table.det[i], table.det2[i],
-             b_lo[i], b_hi[i], c_lo[i], c_hi[i]] for i in range(len(xs))]
-    write_csv(path, header, rows)
-    write_sidecar(path, cfg, seed, time.perf_counter() - t0,
-                  {"envelope_constants": env.constants})
-    print(f"wrote {path}")
-    return 0
+             table.big_b[i], table.det[i], table.det2[i], *(b[i] for b in bounds)]
+            for i in range(len(xs))]
+    return {"ode_series.csv": Csv(header, rows)}, \
+        {"envelope_constants": env.constants}, True
 
 
-def cmd_tail_check(cfg: RunConfig, args) -> int:
-    seed, _, out = _run_common(cfg, args)
-    sec = dict(cfg["tail"])
-    if args.tau is not None:
-        sec["tau"] = args.tau
-    if args.sigma_hat is not None:
-        sec["sigma_hat"] = args.sigma_hat
-    if args.margin is not None:
-        sec["margin"] = args.margin
-    t0 = time.perf_counter()
+def run_tail(sec, seed, threads):
     tcfg = kolmogorov.TailConfig(sec["tau"], sec["sigma_hat"], regime_margin=sec["margin"])
     ramp = kolmogorov.RampEvolution(tcfg.sigma_hat)
     grid = tcfg.grid()[:: max(1, tcfg.n_sigma // 2000)]
     slices = np.linspace(0.0, tcfg.tau, 5)
-    path = out / "tail_profiles.csv"
     header = ["sigma"] + [f"zeta_hat_tau_{tp:.6g}" for tp in slices]
     cols = [ramp.value(tcfg.tau - tp, grid) for tp in slices]
     rows = [[grid[i], *[c[i] for c in cols]] for i in range(len(grid))]
-    write_csv(path, header, rows)
     terms = kolmogorov.bound_terms(tcfg)
-    summary = {
-        "tau": tcfg.tau, "sigma_hat": tcfg.sigma_hat,
-        "zeta_at_origin": kolmogorov.zeta_at_origin(tcfg),
-        "i1": terms.i1, "i2": terms.i2, "margin": sec["margin"],
-        "regime_ok": kolmogorov.in_regime(tcfg, np.exp(tcfg.tau)),
-    }
-    spath = out / "tail_summary.json"
-    atomic_write(spath, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    write_sidecar(path, cfg, seed, time.perf_counter() - t0)
-    print(f"wrote {path} and {spath}")
-    return 0
+    summary = {"tau": tcfg.tau, "sigma_hat": tcfg.sigma_hat,
+               "zeta_at_origin": kolmogorov.zeta_at_origin(tcfg),
+               "i1": terms.i1, "i2": terms.i2, "margin": sec["margin"],
+               "regime_ok": kolmogorov.in_regime(tcfg, np.exp(tcfg.tau))}
+    return {"tail_profiles.csv": Csv(header, rows), "tail_summary.json": summary}, {}, True
 
 
-def cmd_field_run(cfg: RunConfig, args) -> int:
-    seed, _, out = _run_common(cfg, args)
-    sec = cfg["field"]
-    t0 = time.perf_counter()
+def run_field(sec, seed, threads):
     fcfg = fieldsim.FieldConfig(eps=sec["eps"], l_max=sec["l_max"], n=sec["n"],
                                 box_mult=sec["box_mult"],
                                 n_samples=sec["n_samples"], seed=seed)
     keep = sec["save_snapshot"] == "true"
     res = fieldsim.run_field_ensemble(fcfg, keep_final=keep)
     mean, se = res.moments()
-    path = out / "field_moments.csv"
-    header = ["lambda2"] + [f"E_{n}" for n in proxysde.MOMENT_NAMES] \
-        + [f"se_{n}" for n in proxysde.MOMENT_NAMES]
     rows = [[res.lambda2[i], *mean[i], *se[i]] for i in range(len(res.lambda2))]
-    write_csv(path, header, rows)
+    outputs = {"field_moments.csv": Csv(_moment_header(["lambda2"]), rows)}
     qv = fieldsim.empirical_qv(res)
-    extra = {"qv_accumulated": qv.accumulated_dpsi,
-             "qv_expected": qv.expected_dpsi,
+    extra = {"qv_accumulated": qv.accumulated_dpsi, "qv_expected": qv.expected_dpsi,
              "qv_ok": qv.ok()}
     if keep:
-        snap = out / "field_state.bin"
-        fieldsim.save_snapshot(snap, res.final_state, fcfg.grid().box_len)
-        extra["snapshot"] = str(snap)
-    write_sidecar(path, cfg, seed, time.perf_counter() - t0, extra)
-    print(f"wrote {path}")
-    return 0
+        outputs["field_state.bin"] = Snapshot(res.final_state, fcfg.grid().box_len)
+    return outputs, extra, True
 
 
-def cmd_corrector_run(cfg: RunConfig, args) -> int:
-    seed, _, out = _run_common(cfg, args)
-    sec = cfg["corrector"]
-    t0 = time.perf_counter()
+def run_corrector(sec, seed, threads):
     run = corrector.run_corrector_ensemble(
         sec["eps"], sec["l_max"], sec["n"], sec["n_samples"], seed=seed,
         box_mult=sec["box_mult"], tol=sec["tol"])
     r_sched = (0.25, 0.5, 1.0, 2.0, 4.0)
-    path = out / "corrector.csv"
     header = ["eps", "l_max", "n", "lambda", "lambda_se", "E_f2", "E_absdet",
               "E_det"] + [f"trunc_r{r:g}" for r in r_sched]
-    rows = []
-    for st in run.stats:
-        rows.append([sec["eps"], sec["l_max"], sec["n"], st.lambda_avg,
-                     run.lambda_se, st.mean_f2, st.mean_abs_det, st.mean_det]
-                    + [st.truncated[r] for r in r_sched])
-    write_csv(path, header, rows)
-    write_sidecar(path, cfg, seed, time.perf_counter() - t0,
-                  {"lambda_mean": run.lambda_mean, "lambda_se": run.lambda_se})
-    print(f"wrote {path}")
-    return 0
+    rows = [[sec["eps"], sec["l_max"], sec["n"], st.lambda_avg, run.lambda_se,
+             st.mean_f2, st.mean_abs_det, st.mean_det]
+            + [st.truncated[r] for r in r_sched] for st in run.stats]
+    return {"corrector.csv": Csv(header, rows)}, \
+        {"lambda_mean": run.lambda_mean, "lambda_se": run.lambda_se}, True
 
 
-def cmd_particle_run(cfg: RunConfig, args) -> int:
-    seed, _, out = _run_common(cfg, args)
-    sec = cfg["particle"]
-    ls = RunConfig.parse_list(sec["l_list"])
-    ns = RunConfig.parse_list(sec["n_list"], int)
-    if len(ls) != len(ns):
-        raise ConfigError("l_list and n_list must have equal length")
-    t0 = time.perf_counter()
+def run_particle(sec, seed, threads):
+    ls, ns = parse_list(sec["l_list"]), parse_list(sec["n_list"], int)
     times = particle.default_sample_times(sec["dt"], sec["t_end"])
-    estimates = []
+    outputs, estimates = {}, []
     for i, (l_max, n) in enumerate(zip(ls, ns)):
-        res = particle.annealed_msd(sec["eps"], l_max, n, sec["dt"], sec["t_end"],
+        est = particle.annealed_msd(sec["eps"], l_max, n, sec["dt"], sec["t_end"],
                                     sec["n_envs"], sec["paths_per_env"],
-                                    seed=seed + i, sample_times=times)
-        est = res.as_estimate()
+                                    seed=seed + i, sample_times=times).as_estimate()
         estimates.append(est)
-        path = out / f"msd_L{l_max:g}.csv"
-        header = ["t", "msd_x", "msd_y", "se_x", "se_y"]
-        rows = [[times[j], est.msd[0, j], est.msd[1, j], est.se[0, j], est.se[1, j]]
-                for j in range(len(times))]
-        write_csv(path, header, rows)
-        write_sidecar(path, cfg, seed, time.perf_counter() - t0)
+        rows = [[times[j], *est.msd[:, j], *est.se[:, j]] for j in range(len(times))]
+        outputs[f"msd_L{l_max:g}.csv"] = Csv(["t", "msd_x", "msd_y", "se_x", "se_y"], rows)
     summary = {}
     if len(estimates) >= 2:
         ratio, se, t_cmp = particle.msd_growth_ratio(estimates[0], estimates[-1],
                                                      min(ls))
         summary = {"growth_ratio": ratio, "ratio_se": se, "compare_time": t_cmp}
-    spath = out / "particle_summary.json"
-    atomic_write(spath, json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {spath}")
-    return 0
+    outputs["particle_summary.json"] = summary
+    return outputs, {}, True
 
 
-def cmd_qv_check(cfg: RunConfig, args) -> int:
-    seed, _, out = _run_common(cfg, args)
-    t0 = time.perf_counter()
-    r1 = acceptance.criterion_1_algebra()
-    r2 = acceptance.criterion_2_covariance()
-    path = out / "qv_check.json"
-    payload = {r.name: r.payload() for r in (r1, r2)}
-    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
-    write_sidecar(path, cfg, seed, time.perf_counter() - t0)
-    print(f"wrote {path}")
-    return 0 if (r1.passed and r2.passed) else 2
-
-
-def cmd_accept(cfg: RunConfig, args) -> int:
-    seed, _, out = _run_common(cfg, args)
+def run_accept(sec, seed, threads):
     if seed != acceptance.SEED:
-        print(f"config error: accept runs at the fixed seed {acceptance.SEED} "
-              f"(acceptance.SEED), not {seed}", file=sys.stderr)
-        return 1
-    t0 = time.perf_counter()
+        raise ConfigError(f"accept runs at the fixed seed {acceptance.SEED} "
+                          f"(acceptance.SEED), not {seed}")
     results = acceptance.run_all(verbose=True)
-    path = out / "accept.json"
     payload = {r.name: r.payload() for r in results}
     payload["all_pass"] = all(r.passed for r in results)
-    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
-    write_sidecar(path, cfg, acceptance.SEED, time.perf_counter() - t0)
-    print(f"wrote {path}")
-    return 0 if payload["all_pass"] else 2
+    return {"accept.json": payload}, {}, payload["all_pass"]
 
 
-HANDLERS = {
-    "qv-check": cmd_qv_check,
-    "sde-run": cmd_sde_run,
-    "ode-run": cmd_ode_run,
-    "tail-check": cmd_tail_check,
-    "field-run": cmd_field_run,
-    "corrector-run": cmd_corrector_run,
-    "particle-run": cmd_particle_run,
-    "accept": cmd_accept,
-}
+#: one CLI command: its config section (or None), its runner, and the
+#: section keys that flags may override
+Command = namedtuple("Command", "name section run flags", defaults=((),))
+COMMANDS = {c.name: c for c in (
+    Command("qv-check", None, run_qv_check),
+    Command("sde-run", "sde", run_sde),
+    Command("ode-run", "ode", run_ode),
+    Command("tail-check", "tail", run_tail, ("tau", "sigma_hat", "margin")),
+    Command("field-run", "field", run_field),
+    Command("corrector-run", "corrector", run_corrector),
+    Command("particle-run", "particle", run_particle),
+    Command("accept", None, run_accept),
+)}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="scalehom",
-        description="scale-by-scale homogenization laboratory")
-    parser.add_argument("command", choices=sorted(HANDLERS))
-    parser.add_argument("--config", required=True,
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True,
                         help="config file path, or 'default'")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=None)
-    parser.add_argument("--tau", type=float, default=None,
-                        help="tail-check: terminal time override")
-    parser.add_argument("--sigma-hat", dest="sigma_hat", type=float, default=None,
-                        help="tail-check: truncation location override")
-    parser.add_argument("--margin", type=float, default=None,
-                        help="tail-check: regime margin override")
+    common.add_argument("--out", dest="out_dir", help="override [run] out_dir")
+    for key in ("seed", "threads"):
+        common.add_argument(f"--{key}", help=f"override [run] {key}")
+    parser = argparse.ArgumentParser(
+        prog="scalehom", description="scale-by-scale homogenization laboratory")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for cmd in COMMANDS.values():
+        p = sub.add_parser(cmd.name, parents=[common])
+        for key in cmd.flags:
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=f"override [{cmd.section}] {key}")
     return parser
 
 
+def _override(cfg: RunConfig, section: str, keys, args) -> dict:
+    """Copy of ``cfg[section]`` with the given flags applied; ``cfg`` itself,
+    and so the sidecar's config hash, stays as loaded."""
+    sec = dict(cfg[section])
+    for key in keys:
+        if getattr(args, key) is not None:
+            sec[key] = _value(section, key, getattr(args, key))
+    return sec
+
+
 def dispatch(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    cmd = COMMANDS[args.command]
     try:
         cfg = RunConfig.load(args.config)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return HANDLERS[args.command](cfg, args)
+        run = _override(cfg, "run", ("seed", "threads", "out_dir"), args)
+        sec = _override(cfg, cmd.section, cmd.flags, args) if cmd.section else None
+        out = Path(run["out_dir"])
+        out.mkdir(parents=True, exist_ok=True)
+        t0 = time.perf_counter()
+        outputs, extra, passed = cmd.run(sec, run["seed"], run["threads"])
+        for name, data in outputs.items():
+            path = out / name
+            if isinstance(data, Csv):
+                write_csv(path, data.header, data.rows)
+            elif isinstance(data, Snapshot):
+                fieldsim.save_snapshot(path, data.state, data.box_len)
+                extra["snapshot"] = str(path)
+            else:
+                atomic_write(path, json.dumps(data, indent=2, sort_keys=True,
+                                              default=float) + "\n")
+        wall_s = time.perf_counter() - t0
+        for name in outputs:
+            write_sidecar(out / name, cfg, run["seed"], wall_s, extra)
+            print(f"wrote {out / name}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (FloatingPointError, ValueError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    return 0 if passed else 2
 
 
 def main() -> None:

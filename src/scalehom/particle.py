@@ -16,6 +16,8 @@ infrared range.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
+from typing import Iterator
 
 import numpy as np
 
@@ -100,16 +102,32 @@ def default_sample_times(dt: float, t_end: float, n_times: int = 24) -> np.ndarr
     return np.unique(np.round(np.geomspace(max(dt, 1.0), t_end, n_times) / dt)) * dt
 
 
+def _steps(drift: DriftField, dt: float, x: np.ndarray,
+           rng: np.random.Generator) -> Iterator[int]:
+    """Euler-Maruyama steps of the cloud ``x`` (advanced in place), yielding
+    the 1-based step index after each; a drift marked ``is_zero`` is not
+    looked up.  The step must resolve the unit drift scale: 0 < dt <= 0.1."""
+    if not 0.0 < dt <= 0.1:
+        raise ValueError("need 0 < dt <= 0.1 to resolve the drift scale")
+    root2dt = np.sqrt(2.0 * dt)
+
+    # the generator sits inside a plain function so that dt is checked on
+    # the call, before the caller sets up its sample times
+    def advance(x):
+        for step_i in count(1):
+            step = root2dt * rng.standard_normal(x.shape)
+            x += step if drift.is_zero else step + drift.at(x) * dt
+            yield step_i
+    return advance(x)
+
+
 def euler_maruyama(drift: DriftField, dt: float, t_end: float, n_paths: int,
                    rng: np.random.Generator,
                    sample_times: np.ndarray | None = None) -> MsdEstimate:
     """Integrate ``n_paths`` trajectories from the origin and record
-    displacement moments.
-
-    The step must resolve the unit drift scale: dt <= 0.1.
-    """
-    if dt > 0.1 or dt <= 0.0:
-        raise ValueError("need 0 < dt <= 0.1 to resolve the drift scale")
+    displacement moments at ``sample_times``."""
+    x = np.zeros((n_paths, 2))
+    steps = _steps(drift, dt, x, rng)
     if sample_times is None:
         sample_times = default_sample_times(dt, t_end)
     sample_times = np.asarray(sample_times, dtype=float)
@@ -117,17 +135,11 @@ def euler_maruyama(drift: DriftField, dt: float, t_end: float, n_paths: int,
     if sample_idx.min() < 1 or len(np.unique(sample_idx)) < len(sample_idx):
         raise ValueError(f"sample times {sample_times.tolist()} must fall on distinct "
                          f"steps of size {dt} after the start")
-    n_steps = int(sample_idx.max())
-    root2dt = np.sqrt(2.0 * dt)
-
-    x = np.zeros((n_paths, 2))
     msd = np.empty((2, len(sample_idx)))
     se = np.empty((2, len(sample_idx)))
     targets = {int(s): j for j, s in enumerate(sample_idx)}
 
-    for step_i in range(1, n_steps + 1):
-        step = root2dt * rng.standard_normal((n_paths, 2))
-        x += step if drift.is_zero else step + drift.at(x) * dt
+    for step_i in islice(steps, int(sample_idx.max())):
         j = targets.get(step_i)
         if j is not None:
             d2 = x ** 2
@@ -215,14 +227,9 @@ def occupancy_counts(drift: DriftField, dt: float, t_end: float, n_paths: int,
     A divergence-free drift preserves the uniform law, so the counts stay
     multinomial(n_paths, 1/n_cells^2) up to sampling noise.
     """
-    if dt > 0.1 or dt <= 0.0:
-        raise ValueError("need 0 < dt <= 0.1")
     x = rng.uniform(0.0, drift.grid.box_len, size=(n_paths, 2))
-    steps = int(round(t_end / dt))
-    root2dt = np.sqrt(2.0 * dt)
-    for _ in range(steps):
-        step = root2dt * rng.standard_normal((n_paths, 2))
-        x += step if drift.is_zero else step + drift.at(x) * dt
+    for _ in islice(_steps(drift, dt, x, rng), int(round(t_end / dt))):
+        pass
     cell = np.floor(x / drift.grid.box_len * n_cells).astype(np.int64) % n_cells
     flat = cell[:, 0] * n_cells + cell[:, 1]
     return np.bincount(flat, minlength=n_cells * n_cells)

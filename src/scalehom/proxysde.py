@@ -70,7 +70,6 @@ class SdeConfig:
     workers: int = 1
     snapshot_points: tuple = ()
     record_stride: int = 1
-    zero_cross_block: bool = False
     lambda2_weighting: str = "exact"
 
     def __post_init__(self):
@@ -219,11 +218,6 @@ def _prepare_steps(cfg: SdeConfig):
         frozen = 0.5 * (x[i] + x[i + 1]) if cfg.lambda2_weighting == "midpoint-frozen" \
             else None
         cov = shellcov.step_covariance(x[i], x[i + 1], cfg.eps, frozen_lambda2=frozen)
-        mat = cov.matrix
-        if cfg.zero_cross_block:
-            mat = mat.copy()
-            mat[:2, 6:], mat[6:, :2] = 0.0, 0.0
-            cov = shellcov.DriverCovariance(cov.lambda2, cov.eps, mat)
         factors.append(cov.factor())
         damps[i] = np.exp(-(x[i + 1] - x[i]) / cfg.eps ** 2)
     return x, factors, damps
@@ -351,16 +345,6 @@ def truncated_second_moment(samples_f2: np.ndarray, r_hat: float) -> float:
         raise ValueError("empty sample set")
     mean = samples_f2.mean()
     return float(np.sum(samples_f2[samples_f2 <= r_hat * mean]) / samples_f2.sum())
-
-
-def histogram(samples_f2: np.ndarray, bins: int | np.ndarray = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Probability-mass histogram of |F|^2 / E|F|^2 (masses sum to 1)."""
-    samples_f2 = np.asarray(samples_f2, dtype=float)
-    if samples_f2.size < 1000:
-        raise ValueError("histogram needs at least 1e3 samples")
-    ratio = samples_f2 / samples_f2.mean()
-    counts, edges = np.histogram(ratio, bins=bins)
-    return counts / samples_f2.size, edges
 
 
 def coupled_refinement(eps: float, lambda2_max: float, base_steps: int,

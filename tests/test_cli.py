@@ -59,6 +59,31 @@ class TestRunConfig:
         with pytest.raises(cli.ConfigError, match="n_steps"):
             cli.RunConfig.parse(bad)
 
+    def test_default_config_hash(self):
+        # DEFAULT_CONFIG is rendered from SCHEMA; its parsed content, and so
+        # every sidecar's config_sha256 at --config default, is pinned
+        assert cli.RunConfig.parse(cli.DEFAULT_CONFIG).sha256() == \
+            "5742aee24efd76dfca2d25f902b28444b86384606ca15de593fcc95c09436b99"
+
+    @pytest.mark.parametrize("section, values, key", [
+        ("sde", {"snapshot_points": "x"}, "snapshot_points"),
+        ("particle", {"l_list": "", "n_list": ""}, "l_list"),
+        ("particle", {"n_list": ""}, "n_list"),
+        ("particle", {"n_list": "0"}, "n_list"),
+        ("particle", {"n_list": "48"}, "n_list"),
+        ("particle", {"l_list": "abc"}, "l_list"),
+        ("particle", {"l_list": "1, 64"}, "l_list"),
+        ("particle", {"l_list": "4, 16"}, "equal length"),
+    ])
+    def test_list_keys_validated_at_parse(self, tmp_path, section, values, key):
+        path = small_config(tmp_path, **{section: values})
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.RunConfig.load(str(path))
+        out = tmp_path / "out"
+        command = "sde-run" if section == "sde" else "particle-run"
+        assert cli.dispatch([command, "--config", str(path), "--out", str(out)]) == 1
+        assert not out.exists()
+
 
 class TestDispatch:
     def test_missing_key_exit_code(self, tmp_path):
@@ -76,6 +101,28 @@ class TestDispatch:
 
     def test_unreadable_config(self):
         assert cli.dispatch(["sde-run", "--config", "/nonexistent.cfg"]) == 1
+
+    @pytest.mark.parametrize("argv, key", [
+        (["sde-run", "--threads", "0"], "threads"),
+        (["sde-run", "--seed", "-1"], "seed"),
+        (["sde-run", "--seed", "x"], "seed"),
+        (["tail-check", "--tau", "-1"], "tau"),
+        (["tail-check", "--margin", "0"], "margin"),
+    ])
+    def test_bad_flag_names_its_key(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "out"
+        path = small_config(tmp_path)
+        assert cli.dispatch([*argv, "--config", str(path), "--out", str(out)]) == 1
+        assert f"] {key} = " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--tau", "--sigma-hat", "--margin"])
+    def test_tail_flags_only_on_tail_check(self, tmp_path, flag):
+        out = tmp_path / "out"
+        argv = ["sde-run", "--config", str(small_config(tmp_path)), flag, "4",
+                "--out", str(out)]
+        assert cli.dispatch(argv) == 1
+        assert not out.exists()
 
     def test_numeric_failure_exit_code(self, tmp_path):
         # an infrared range too small for a single shell is a runtime
@@ -203,6 +250,23 @@ class TestOtherCommands:
         code = cli.dispatch(["field-run", "--config", str(path), "--out", str(out)])
         assert code in (0, 2)   # tiny run; qv_ok not asserted at this size
         assert (out / "field_moments.csv").exists()
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_every_command_writes_sidecars(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.setattr(cli.acceptance, "run_all", lambda verbose=True: [])
+    path = small_config(tmp_path, field={"box_mult": 2.0, "save_snapshot": "true"},
+                        particle={"l_list": "4, 8", "n_list": "64, 64"})
+    out = tmp_path / "out"
+    assert cli.dispatch([command, "--config", str(path), "--out", str(out)]) == 0
+    data = sorted(p for p in out.iterdir() if not p.name.endswith(".meta.json"))
+    assert data
+    # one line per file, and the sidecar hashes the config as loaded,
+    # before the --out flag is applied
+    assert sorted(capsys.readouterr().out.splitlines()) == [f"wrote {p}" for p in data]
+    for p in data:
+        meta = json.loads(p.with_name(p.name + ".meta.json").read_text())
+        assert meta["config_sha256"] == cli.RunConfig.load(str(path)).sha256()
 
 
 class TestAccept:

@@ -107,13 +107,22 @@ class TestEnsemble:
         assert np.all(s.column("det") == 1.0)
         assert np.all(s.column("phi2_resc") == 0.0)
 
-    def test_cross_block_insensitivity_of_tracked_moments(self):
+    def test_cross_block_insensitivity_of_tracked_moments(self, monkeypatch):
         # zeroing the dphi/Hessian covariation must not move the tracked
         # moments beyond statistical resolution: none of their evolution
         # equations involves it
         base = dict(eps=0.35, lambda2_max=2.5, n_steps=120, n_traj=60_000)
         a = proxysde.run_ensemble(proxysde.SdeConfig(seed=6, **base)).series
-        b = proxysde.run_ensemble(proxysde.SdeConfig(seed=7, zero_cross_block=True, **base)).series
+        step_covariance = shellcov.step_covariance
+
+        def without_cross_block(*args, **kwargs):
+            cov = step_covariance(*args, **kwargs)
+            mat = cov.matrix.copy()
+            mat[:2, 6:], mat[6:, :2] = 0.0, 0.0
+            return shellcov.DriverCovariance(cov.lambda2, cov.eps, mat)
+
+        monkeypatch.setattr(proxysde.shellcov, "step_covariance", without_cross_block)
+        b = proxysde.run_ensemble(proxysde.SdeConfig(seed=7, **base)).series
         for name in ("phi2_resc", "f2", "f4", "det2"):
             z = (a.column(name)[-1] - b.column(name)[-1]) / np.hypot(
                 a.se(name)[-1], b.se(name)[-1])
@@ -292,31 +301,6 @@ class TestTruncatedMoment:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             proxysde.truncated_second_moment(np.array([]), 1.0)
-
-
-class TestHistogram:
-    def test_mass_normalized(self):
-        samples = np.random.default_rng(2).lognormal(0.0, 1.0, 5000)
-        mass, edges = proxysde.histogram(samples, bins=40)
-        assert abs(mass.sum() - 1.0) <= 1e-9
-        assert len(edges) == 41
-
-    def test_constant_samples_single_bin(self):
-        mass, _ = proxysde.histogram(np.full(2000, 3.7), bins=10)
-        assert np.sum(mass > 0) == 1
-        assert mass.max() == 1.0
-
-    def test_initial_ensemble_is_point_mass(self):
-        cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.5, n_steps=5, n_traj=2000,
-                                 seed=11, snapshot_points=(1.0,))
-        res = proxysde.run_ensemble(cfg)
-        f2 = res.snapshots[1.0]["f2"]
-        mass, _ = proxysde.histogram(f2, bins=10)
-        assert np.sum(mass > 0) == 1
-
-    def test_requires_enough_samples(self):
-        with pytest.raises(ValueError):
-            proxysde.histogram(np.ones(10))
 
 
 class TestSchemeConvergence:
