@@ -118,18 +118,17 @@ def criterion_2_covariance():
     """Spectral covariance reproduces both forms; cross block vs quadrature."""
     lam2, eps = 1.7, 0.3
     cov = shellcov.build_cov(lam2, eps)
+    c11, c22r, c02 = cov.matrix[2:6, 2:6], cov.matrix[6:12, 6:12], cov.matrix[:2, 6:12]
     rng = stream(SEED, "accept-cov")
     dev_d = 0.0
     for _ in range(100):
         g = rng.standard_normal((2, 2))
         w = np.array([g[a, c] for (c, a) in [(0, 0), (0, 1), (1, 0), (1, 1)]])
-        dev_d = max(dev_d, abs(w @ cov.c11 @ w - tensor2d.diamond(g) / lam2))
+        dev_d = max(dev_d, abs(w @ c11 @ w - tensor2d.diamond(g) / lam2))
     dev_b = 0.0
-    c22r = cov.matrix[6:12, 6:12]
     for _ in range(100):
         t = tensor2d.sym_last_two(rng.standard_normal((2, 2, 2)))
-        w = np.array([t[0, 0, 0], 2 * t[0, 0, 1], t[0, 1, 1],
-                      t[1, 0, 0], 2 * t[1, 0, 1], t[1, 1, 1]])
+        w = np.array([t[s] for s in tensor2d.HESS_SLOTS]) * [1, 2, 1, 1, 2, 1]
         dev_b = max(dev_b, abs(w @ c22r @ w - tensor2d.bullet(t) / lam2))
 
     # annulus-quadrature oracle for the cross block
@@ -142,10 +141,9 @@ def criterion_2_covariance():
     radial = integrate.simpson(1.0 / rs, x=rs)
     dev_c = 0.0
     for c in range(2):
-        for col, (d, a, b) in enumerate(
-                [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)]):
+        for col, (d, a, b) in enumerate(tensor2d.HESS_SLOTS):
             ang = np.mean(tt[a] * tt[b] * jt[c] * jt[d])
-            dev_c = max(dev_c, abs(cov.c02[c, col] + ang * radial / (lam2 * delta)))
+            dev_c = max(dev_c, abs(c02[c, col] + ang * radial / (lam2 * delta)))
 
     eig = np.linalg.eigvalsh(cov.matrix)
     details = {
@@ -296,7 +294,7 @@ def criterion_9_field_mode():
     sh = fieldsim.sample_shell_field(grid, 2.0, 2.0 * 2 ** 0.25, eps,
                                      stream(SEED + 4, "accept-rel"))
     lam2 = 1.0 + eps ** 2 * np.log(2.0 * 2 ** 0.125)
-    drv = fieldsim.driver_fields(sh, lam2, 0.01, 2.0 * 2 ** 0.125)
+    drv = fieldsim.driver_fields(sh, lam2, 0.01)
     scale = float(np.abs(drv.dpsi).max())
     trace_dev = float(np.abs(drv.grad[0, 0] + drv.grad[1, 1]).max()) / scale
     skew = np.sqrt(lam2) * (drv.grad[0, 1] - drv.grad[1, 0]) - drv.dpsi

@@ -213,13 +213,17 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     atomic_write(path, "\n".join(lines) + "\n")
 
 
+def _json_text(payload: dict) -> str:
+    """Indented, key-sorted JSON; numpy scalars as the Python values they hold."""
+    return json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.item()) + "\n"
+
+
 def write_sidecar(path: Path, cfg: RunConfig, seed: int, wall_s: float,
                   extra: dict | None = None) -> None:
     payload = {"config_sha256": cfg.sha256(), "scalehom_version": __version__,
                "numpy_version": np.__version__, "scipy_version": scipy.__version__,
                "seed": seed, "wall_time_s": wall_s, **(extra or {})}
-    atomic_write(path.with_suffix(path.suffix + ".meta.json"),
-                 json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n")
+    atomic_write(path.with_suffix(path.suffix + ".meta.json"), _json_text(payload))
 
 
 #: output kinds of a runner besides JSON payloads (dicts)
@@ -312,12 +316,11 @@ def run_corrector(sec, seed, threads):
     run = corrector.run_corrector_ensemble(
         sec["eps"], sec["l_max"], sec["n"], sec["n_samples"], seed=seed,
         box_mult=sec["box_mult"], tol=sec["tol"])
-    r_sched = (0.25, 0.5, 1.0, 2.0, 4.0)
     header = ["eps", "l_max", "n", "lambda", "lambda_se", "E_f2", "E_absdet",
-              "E_det"] + [f"trunc_r{r:g}" for r in r_sched]
+              "E_det"] + [f"trunc_r{r:g}" for r in corrector.R_SCHEDULE]
     rows = [[sec["eps"], sec["l_max"], sec["n"], st.lambda_avg, run.lambda_se,
              st.mean_f2, st.mean_abs_det, st.mean_det]
-            + [st.truncated[r] for r in r_sched] for st in run.stats]
+            + [st.truncated[r] for r in corrector.R_SCHEDULE] for st in run.stats]
     return {"corrector.csv": Csv(header, rows)}, \
         {"lambda_mean": run.lambda_mean, "lambda_se": run.lambda_se}, True
 
@@ -417,8 +420,7 @@ def dispatch(argv: list[str]) -> int:
                 fieldsim.save_snapshot(path, data.state, data.box_len)
                 extra["snapshot"] = str(path)
             else:
-                atomic_write(path, json.dumps(data, indent=2, sort_keys=True,
-                                              default=float) + "\n")
+                atomic_write(path, _json_text(data))
         wall_s = time.perf_counter() - t0
         for name in outputs:
             write_sidecar(out / name, cfg, run["seed"], wall_s, extra)

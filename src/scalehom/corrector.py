@@ -32,11 +32,15 @@ from functools import cached_property
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
+from . import tensor2d
 from .fieldsim import TorusGrid, sample_shell_field
 
-J = np.array([[0.0, -1.0], [1.0, 0.0]])
 #: derivative orders (a, b) of d_x^a d_y^b that make a gradient
 GRAD = ((1, 0), (0, 1))
+#: Krylov iterations per solve; the damped fixed point may take five times as many
+_MAX_ITER = 400
+#: relative thresholds r of the truncated second moments in ``JacobianStats``
+R_SCHEDULE = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
 @dataclass
@@ -87,7 +91,7 @@ class CorrectorSolution:
 
 
 def solve_corrector(coef: CoefField, xi, tol: float = 1e-8,
-                    max_iter: int = 400, use_krylov: bool = True) -> CorrectorSolution:
+                    use_krylov: bool = True) -> CorrectorSolution:
     """Solve the corrector problem in direction ``xi`` to relative residual ``tol``.
 
     lgmres solves the preconditioned equation u + lap^{-1}(grad psi . J grad u)
@@ -106,7 +110,7 @@ def solve_corrector(coef: CoefField, xi, tol: float = 1e-8,
     inv_k2 = grid.inv_k2()
     gpsi = coef.grad_psi()
 
-    jxi = J @ xi
+    jxi = tensor2d.J @ xi
     rhs = -(gpsi[0] * jxi[0] + gpsi[1] * jxi[1])
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
@@ -143,7 +147,7 @@ def solve_corrector(coef: CoefField, xi, tol: float = 1e-8,
             iterations += 1
 
         u, _ = lgmres(op, grid.synthesize(inv_lap(rhs)).ravel(), rtol=tol * 1e-2,
-                      atol=0.0, maxiter=max_iter, callback=track)
+                      atol=0.0, maxiter=_MAX_ITER, callback=track)
         phi_hat = np.fft.rfft2(u.reshape(n, n))
 
     phi, grad, adv, res = close(phi_hat)
@@ -151,7 +155,7 @@ def solve_corrector(coef: CoefField, xi, tol: float = 1e-8,
     if res > tol:
         # damped fixed point on phi <- lap^{-1}(rhs - advect(phi))
         damp = 1.0 / (1.0 + float(np.max(np.abs(coef.psi))))
-        for _ in range(max_iter * 5):
+        for _ in range(_MAX_ITER * 5):
             fallback_steps += 1
             phi_hat = (1.0 - damp) * phi_hat + damp * inv_lap(rhs - adv)
             phi, grad, adv, res = close(phi_hat)
@@ -185,7 +189,7 @@ def first_order_gradient_energy(coef: CoefField, xi) -> float:
     gradient energy is (eps^2/2) ln l_max for a unit direction, so the full
     solve at small amplitude must land near this value.
     """
-    jxi = J @ np.asarray(xi, dtype=float)
+    jxi = tensor2d.J @ np.asarray(xi, dtype=float)
     gpsi = coef.grad_psi()
     rhs = -(gpsi[0] * jxi[0] + gpsi[1] * jxi[1])
     grad = coef.grid.derivatives(-coef.grid.inv_k2() * np.fft.rfft2(rhs), GRAD)
@@ -201,27 +205,21 @@ class JacobianStats:
     truncated: dict
 
 
-def jacobian_field(sol1: CorrectorSolution, sol2: CorrectorSolution) -> np.ndarray:
-    """F = id + (grad phi^1; grad phi^2) as a (2, 2, n, n) grid."""
+def jacobian_stats(sol1: CorrectorSolution, sol2: CorrectorSolution) -> JacobianStats:
+    """Spatial Jacobian statistics of F = id + (grad phi^1; grad phi^2) from
+    the two coordinate correctors.
+
+    ``truncated`` maps each relative threshold r in ``R_SCHEDULE`` to the
+    fraction of the second moment carried by points with |F|^2 <= r mean |F|^2.
+    """
     f = np.stack([sol1.grad, sol2.grad])
     f[0, 0] += 1.0
     f[1, 1] += 1.0
-    return f
-
-
-def jacobian_stats(sol1: CorrectorSolution, sol2: CorrectorSolution,
-                   r_schedule=(0.25, 0.5, 1.0, 2.0, 4.0)) -> JacobianStats:
-    """Spatial Jacobian statistics from the two coordinate correctors.
-
-    ``truncated`` maps each relative threshold r to the fraction of the
-    second moment carried by points with |F|^2 <= r mean |F|^2.
-    """
-    f = jacobian_field(sol1, sol2)
     f2 = np.sum(f * f, axis=(0, 1))
     det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
     mean_f2 = float(f2.mean())
     truncated = {float(r): float(f2[f2 <= r * mean_f2].sum() / f2.sum())
-                 for r in r_schedule}
+                 for r in R_SCHEDULE}
     lam = 0.5 * (effective_lambda(sol1) + effective_lambda(sol2))
     return JacobianStats(mean_f2, float(np.abs(det).mean()), float(det.mean()),
                          lam, truncated)

@@ -21,14 +21,16 @@ are reproducible for any scheduling.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .proxysde import MOMENT_NAMES, euler_update, increment_planes, moment_planes
+from .proxysde import _initial_planes, euler_update, increment_planes, moment_planes
 from .rng import stream
 
 _MAGIC = b"SHOM"
+#: grid nodes, drawn once per run, at which each sample's final |F|^2 is kept
+_PROBE_POINTS = 16
 _I_POW = (1.0, 1j, -1.0, -1j)
 
 
@@ -96,9 +98,6 @@ class ShellField:
 
     grid: TorusGrid
     coeffs: np.ndarray          # half spectrum (rfft2 layout)
-    l_lo: float
-    l_hi: float
-    var_target: float
 
     @property
     def values(self) -> np.ndarray:
@@ -124,14 +123,13 @@ def sample_shell_field(grid: TorusGrid, l_lo: float, l_hi: float, eps: float,
         raise ValueError(
             f"no lattice modes in shell annulus ({1.0 / l_hi:.4g}, {1.0 / l_lo:.4g}] "
             f"with mode spacing {2.0 * np.pi / grid.box_len:.4g}")
-    var_target = eps ** 2 * np.log(l_hi / l_lo)
     inv_k2 = np.where(mask, 1.0 / np.where(mask, k2, 1.0), 0.0)
     # interior columns of the half spectrum stand for themselves and their mirrors
     lattice = 2.0 * inv_k2.sum() - inv_k2[:, 0].sum() - inv_k2[:, -1].sum()
-    calib = var_target * grid.n ** 2 / lattice
+    calib = eps ** 2 * np.log(l_hi / l_lo) * grid.n ** 2 / lattice
     amp = np.sqrt(calib * inv_k2)
     coeffs = np.fft.rfft2(rng.standard_normal((grid.n, grid.n))) * amp
-    return ShellField(grid, coeffs, l_lo, l_hi, var_target)
+    return ShellField(grid, coeffs)
 
 
 @dataclass
@@ -143,17 +141,14 @@ class DriverFields:
     grad: np.ndarray            # (2, 2, n, n), grad[c, a] = d_a dphi^c
     hess: np.ndarray            # (2, 2, 2, n, n), symmetric in (a, b)
     grad_dpsi: np.ndarray       # (2, n, n), for quadratic-variation checks
-    lam2: float
     dlambda2: float
-    l_mid: float
 
 
 #: derivative orders (a, b) of the driver base field that the triple needs
 _BASE_ORDERS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), (0, 3))
 
 
-def driver_fields(shell: ShellField, lam2: float, dlambda2: float,
-                  l_mid: float) -> DriverFields:
+def driver_fields(shell: ShellField, lam2: float, dlambda2: float) -> DriverFields:
     """Driver triple from one shell increment at multiplier scale ``lam2``:
     dphi = J grad base = (-d_y base, d_x base), base = dpsi_hat / (lam |k|^2)."""
     grid = shell.grid
@@ -164,8 +159,7 @@ def driver_fields(shell: ShellField, lam2: float, dlambda2: float,
     grad = np.array([[-d[1, 1], -d[0, 2]], [d[2, 0], d[1, 1]]])
     hess = np.array([[[-d[2, 1], -d[1, 2]], [-d[1, 2], -d[0, 3]]],
                      [[d[3, 0], d[2, 1]], [d[2, 1], d[1, 2]]]])
-    return DriverFields(dpsi, dphi, grad, hess, np.array(grad_dpsi),
-                        lam2, dlambda2, l_mid)
+    return DriverFields(dpsi, dphi, grad, hess, np.array(grad_dpsi), dlambda2)
 
 
 @dataclass
@@ -178,11 +172,7 @@ class FieldState:
 
     @classmethod
     def initial(cls, grid: TorusGrid) -> "FieldState":
-        phi = np.zeros((2, grid.n, grid.n))
-        f = np.zeros((2, 2, grid.n, grid.n))
-        f[0, 0] = 1.0
-        f[1, 1] = 1.0
-        return cls(phi, f, 1.0)
+        return cls(*_initial_planes(grid.n, grid.n), 1.0)
 
 
 def step_fields(state: FieldState, drv: DriverFields) -> FieldState:
@@ -207,7 +197,6 @@ class FieldConfig:
     shell_ratio: float = 2.0 ** 0.25
     n_samples: int = 16
     seed: int = 0
-    n_probe_points: int = 16
 
     def shells(self) -> np.ndarray:
         """Geometric cutoff ladder 1 = l_0 < ... <= l_max (uniform in lam2)."""
@@ -238,12 +227,6 @@ class FieldRunResult:
         se = self.moment_samples.std(axis=0, ddof=1) / np.sqrt(len(self.moment_samples))
         return mean, se
 
-    def at(self, lambda2: float) -> dict[str, tuple[float, float]]:
-        mean, se = self.moments()
-        i = int(np.argmin(np.abs(self.lambda2 - lambda2)))
-        return {name: (float(mean[i, j]), float(se[i, j]))
-                for j, name in enumerate(MOMENT_NAMES)}
-
 
 def run_field_ensemble(cfg: FieldConfig, keep_final: bool = False) -> FieldRunResult:
     """Evolve ``n_samples`` independent field realizations through all shells."""
@@ -255,13 +238,13 @@ def run_field_ensemble(cfg: FieldConfig, keep_final: bool = False) -> FieldRunRe
     lam2_mids = 1.0 + cfg.eps ** 2 * np.log(l_mids)
 
     probe_rng = stream(cfg.seed, "field-probe")
-    probes = probe_rng.integers(0, cfg.n, size=(cfg.n_probe_points, 2))
+    probes = probe_rng.integers(0, cfg.n, size=(_PROBE_POINTS, 2))
 
     moment_samples = np.empty((cfg.n_samples, n_shells + 1, 9))
     qv_dpsi = np.empty((cfg.n_samples, n_shells))
     qv_grad = np.empty((cfg.n_samples, n_shells))
     qv_hess = np.empty((cfg.n_samples, n_shells))
-    probe_f2 = np.empty((cfg.n_samples, cfg.n_probe_points))
+    probe_f2 = np.empty((cfg.n_samples, _PROBE_POINTS))
     final_state = None
     buf = np.empty((9, cfg.n * cfg.n))
 
@@ -271,8 +254,7 @@ def run_field_ensemble(cfg: FieldConfig, keep_final: bool = False) -> FieldRunRe
         for j in range(n_shells):
             rng = stream(cfg.seed, "field-sim", s, counter=j)
             shell = sample_shell_field(grid, ladder[j], ladder[j + 1], cfg.eps, rng)
-            drv = driver_fields(shell, lam2_mids[j],
-                                lam2_pts[j + 1] - lam2_pts[j], l_mids[j])
+            drv = driver_fields(shell, lam2_mids[j], lam2_pts[j + 1] - lam2_pts[j])
             qv_dpsi[s, j] = np.mean(drv.dpsi ** 2)
             qv_grad[s, j] = np.mean(np.sum(drv.grad_dpsi ** 2, axis=0))
             qv_hess[s, j] = np.mean(np.sum(drv.hess[:, :, 0] ** 2, axis=(0, 1)))

@@ -105,24 +105,12 @@ class TailProfile:
 
     sigma: np.ndarray
     values: np.ndarray
-    time_to_go: float
-    sigma_hat: float
-
-    @property
-    def spacing(self) -> float:
-        return float(self.sigma[1] - self.sigma[0])
-
-    def observable(self, tau_prime: float) -> tuple[np.ndarray, np.ndarray]:
-        """Return (r, zeta(tau', r)) on the grid: r = e^{tau'/2 + sig},
-        zeta = e^{sig} zhat."""
-        r = np.exp(0.5 * tau_prime + self.sigma)
-        return r, np.exp(self.sigma) * self.values
 
 
 def terminal_zeta(cfg: TailConfig) -> TailProfile:
     """Terminal ramp profile at time-to-go zero."""
     grid = cfg.grid()
-    return TailProfile(grid, smoothstep(grid - cfg.sigma_hat), 0.0, cfg.sigma_hat)
+    return TailProfile(grid, smoothstep(grid - cfg.sigma_hat))
 
 
 def evolve(profile: TailProfile, dtau: float) -> TailProfile:
@@ -136,7 +124,7 @@ def evolve(profile: TailProfile, dtau: float) -> TailProfile:
     """
     if dtau <= 0.0:
         raise ValueError("dtau must be positive")
-    h = profile.spacing
+    h = float(profile.sigma[1] - profile.sigma[0])
     std = np.sqrt(dtau / 2.0)
     if std < 2.0 * h:
         raise ValueError(
@@ -147,8 +135,7 @@ def evolve(profile: TailProfile, dtau: float) -> TailProfile:
     weights /= weights.sum()
     padded = np.pad(profile.values, reach, mode="edge")
     out = np.convolve(padded, weights[::-1], mode="valid")
-    return TailProfile(profile.sigma, out, profile.time_to_go + dtau,
-                       profile.sigma_hat)
+    return TailProfile(profile.sigma, out)
 
 
 class RampEvolution:

@@ -45,34 +45,6 @@ from .tensor2d import BULLET_OPNORM
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
-@dataclass(frozen=True)
-class MomentVector:
-    """One point of the moment flow (rescaled storage, see module docstring)."""
-
-    x: float
-    a_resc: float
-    b_resc: float
-    big_a: float
-    big_b: float
-    det2: float
-    det: float = 1.0
-
-    def validate(self) -> None:
-        if not np.all(np.isfinite([self.x, self.a_resc, self.b_resc, self.big_a,
-                                   self.big_b, self.det2, self.det])):
-            raise ValueError("moments must be finite")
-        if min(self.a_resc, self.b_resc, self.big_a, self.big_b, self.det2) < 0:
-            raise ValueError("even moments must be nonnegative")
-        if self.b_resc < self.a_resc ** 2 - 1e-12:
-            raise ValueError("fourth moment below squared second moment")
-        if self.big_b < self.big_a ** 2 - 1e-9 * max(self.big_b, 1.0):
-            raise ValueError("fourth moment below squared second moment")
-
-    @classmethod
-    def initial(cls) -> "MomentVector":
-        return cls(1.0, 0.0, 0.0, 2.0, 4.0, 1.0, 1.0)
-
-
 class ClosureSource:
     """Supplier of the non-closing expectations (q_mix, q_bul, q_adj).
 
@@ -126,7 +98,7 @@ def rhs(x: float, m: np.ndarray, eps: float, closure: ClosureSource) -> np.ndarr
 
 @dataclass
 class MomentTable:
-    """Moment flow sampled on a grid (same storage conventions as MomentVector)."""
+    """Moment flow sampled on a grid (rescaled storage, see module docstring)."""
 
     eps: float
     x: np.ndarray
@@ -136,11 +108,6 @@ class MomentTable:
     big_b: np.ndarray
     det2: np.ndarray
     det: np.ndarray
-
-    def at(self, x: float) -> MomentVector:
-        i = int(np.argmin(np.abs(self.x - x)))
-        return MomentVector(self.x[i], self.a_resc[i], self.b_resc[i],
-                            self.big_a[i], self.big_b[i], self.det2[i], self.det[i])
 
 
 def integrate_moments(eps: float, x_end: float, closure: ClosureSource,
@@ -166,21 +133,20 @@ def _shifted_quad(fn, upper: float) -> float:
     return float(np.sum(w * fn(v)))
 
 
-def exact_a(x: float, eps: float, rescaled: bool = True) -> float:
-    """Closed-form E|phi|^2 via quadrature of the exponent-shifted integral."""
+def exact_a(x: float, eps: float) -> float:
+    """Closed-form E|phi|^2 / L^2 via quadrature of the exponent-shifted integral."""
     if x < 1.0:
         raise ValueError("x must be >= 1")
     if x == 1.0:
         return 0.0
     upper = min(2.0 * (x - 1.0) / eps ** 2, 80.0)
     # v = 2 (x - y) / eps^2
-    val = np.sqrt(x) * 0.5 * eps ** 2 * _shifted_quad(
+    return np.sqrt(x) * 0.5 * eps ** 2 * _shifted_quad(
         lambda v: np.exp(-v) * (x - 0.5 * eps ** 2 * v) ** -1.5, upper)
-    return val if rescaled else val * np.exp(2.0 * (x - 1.0) / eps ** 2)
 
 
-def exact_b(x: float, eps: float, rescaled: bool = True) -> float:
-    """Closed-form E|phi|^4: nested exponent-shifted quadrature."""
+def exact_b(x: float, eps: float) -> float:
+    """Closed-form E|phi|^4 / L^4: nested exponent-shifted quadrature."""
     if x < 1.0:
         raise ValueError("x must be >= 1")
     if x == 1.0:
@@ -192,9 +158,8 @@ def exact_b(x: float, eps: float, rescaled: bool = True) -> float:
         return np.array([exact_a(y, eps) for y in np.atleast_1d(ys)])
 
     # v = 4 (x - y) / eps^2
-    val = 4.0 * x ** 1.5 * 0.25 * eps ** 2 * _shifted_quad(
+    return 4.0 * x ** 1.5 * 0.25 * eps ** 2 * _shifted_quad(
         lambda v: np.exp(-v) * (x - 0.25 * eps ** 2 * v) ** -2.5 * inner(v), upper)
-    return val if rescaled else val * np.exp(4.0 * (x - 1.0) / eps ** 2)
 
 
 def exact_big_a(x: float, eps: float) -> float:
@@ -269,7 +234,7 @@ class Envelope:
                            & (table.det2 >= cl - slack) & (table.det2 <= ch + slack)))
 
 
-def envelope(eps: float, x_end: float, n_points: int = 400) -> Envelope:
+def envelope(eps: float, x_end: float) -> Envelope:
     """Certified tube for B and C by integrating the bounding scalar flows.
 
     The upper branch drops the helpful -2C term and adds the closure bound,
@@ -280,7 +245,7 @@ def envelope(eps: float, x_end: float, n_points: int = 400) -> Envelope:
         raise ValueError("x_end must exceed 1")
     cst = envelope_constants(min(eps, 1.0))
     m_b, kappa_c = cst["m_b"], cst["kappa_c"]
-    xs = np.linspace(1.0, x_end, n_points)
+    xs = np.linspace(1.0, x_end, 400)
     c_lo = max(1.0 - kappa_c * eps ** 2, 0.0)
     c_hi = 1.0 + kappa_c * eps ** 2
 
@@ -298,8 +263,3 @@ def envelope(eps: float, x_end: float, n_points: int = 400) -> Envelope:
         raise FloatingPointError("envelope integration failed")
     return Envelope(eps, xs, lo.y[0], hi.y[0], np.full_like(xs, c_lo),
                     np.full_like(xs, c_hi), dict(cst))
-
-
-def flat_ode_solution(x: np.ndarray) -> np.ndarray:
-    """Zero-amplitude limit of the fourth-moment flow: (8/3) x^{3/2} + 4/3."""
-    return (8.0 / 3.0) * np.asarray(x, dtype=float) ** 1.5 + 4.0 / 3.0

@@ -46,12 +46,6 @@ class DriftField:
     def zero(cls, grid: TorusGrid) -> "DriftField":
         return cls(np.zeros((2, grid.n, grid.n)), grid, is_zero=True)
 
-    def max_divergence(self) -> float:
-        """Spectral divergence residue; zero for any stream-function drift."""
-        div = self.grid.derivatives(np.fft.rfft2(self.b), ((1, 0), (0, 1))).sum(axis=0)
-        scale = max(float(np.max(np.abs(self.b))), 1.0)
-        return float(np.max(np.abs(div)) / scale)
-
     def at(self, pos: np.ndarray) -> np.ndarray:
         """Bilinear drift lookup at unwrapped positions of shape (m, 2)."""
         n, h = self.grid.n, self.grid.spacing

@@ -43,6 +43,7 @@ import numpy as np
 
 from . import shellcov
 from .rng import stream
+from .tensor2d import HESS_SLOTS
 
 MOMENT_NAMES = (
     "phi2_resc", "phi4_resc", "f2", "f4", "det", "det2",
@@ -84,8 +85,9 @@ class SdeConfig:
         if self.eps < 0.0:
             raise ValueError("eps must be nonnegative")
 
-    def grid(self) -> shellcov.ScaleGrid:
-        return shellcov.ScaleGrid.uniform(self.eps, self.lambda2_max, self.n_steps)
+    def grid(self) -> np.ndarray:
+        """Uniform scale grid 1 = lam2_0 < ... < lam2_n = lambda2_max."""
+        return np.linspace(1.0, self.lambda2_max, self.n_steps + 1)
 
 
 @dataclass
@@ -181,7 +183,7 @@ def increment_planes(dphi: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> li
     if np.any(grad[0, 0] != -grad[1, 1]):
         raise ValueError("gradient increment must be trace free")
     return [dphi[0, ...], dphi[1, ...], grad[0, 0, ...], grad[0, 1, ...],
-            grad[1, 0, ...], *(hess[s + (...,)] for s in shellcov.HESS_SLOTS)]
+            grad[1, 0, ...], *(hess[s + (...,)] for s in HESS_SLOTS)]
 
 
 def moment_planes(phi: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -210,7 +212,7 @@ def moment_planes(phi: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray
 
 
 def _prepare_steps(cfg: SdeConfig):
-    x = cfg.grid().lambda2_values
+    x = cfg.grid()
     if cfg.eps == 0.0:
         return x, None, np.zeros(cfg.n_steps)
     factors, damps = [], np.empty(cfg.n_steps)
@@ -239,11 +241,11 @@ def _blocks(n_traj: int, block_size: int) -> list[int]:
     return [min(block_size, n_traj - start) for start in range(0, n_traj, block_size)]
 
 
-def _initial_planes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Component-major (phi, F) = (0, id) for ``n`` trajectories."""
-    f = np.zeros((2, 2, n))
+def _initial_planes(*shape: int) -> tuple[np.ndarray, np.ndarray]:
+    """Component-major (phi, F) = (0, id) of batch shape ``shape``."""
+    f = np.zeros((2, 2, *shape))
     f[0, 0] = f[1, 1] = 1.0
-    return np.zeros((2, n)), f
+    return np.zeros((2, *shape)), f
 
 
 def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_block):

@@ -26,8 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import tensor2d
-
 #: monomial table of the multiplier vector for the rescaled driver triple
 #: (dphi/L, grad, L*hess): sign, power of t1, power of t2.
 _MONOMIALS = (
@@ -75,58 +73,17 @@ def unit_matrix() -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ScaleGrid:
-    """Grid in the scale variable ``lam2 = 1 + eps^2 ln L``.
-
-    ``lam2_values`` starts at 1 and increases; the cutoff scale obeys
-    ``ln L = (lam2 - 1) / eps^2`` so ``d lam2 = eps^2 d ln L``.
-    """
-
-    eps: float
-    lambda2_values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.lambda2_values, dtype=float)
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
-        if v[0] != 1.0 or np.any(np.diff(v) <= 0):
-            raise ValueError("lambda2 grid must start at 1 and increase strictly")
-        object.__setattr__(self, "lambda2_values", v)
-
-    @classmethod
-    def uniform(cls, eps: float, lambda2_max: float, n_steps: int) -> "ScaleGrid":
-        return cls(eps, np.linspace(1.0, lambda2_max, n_steps + 1))
-
-    @property
-    def ln_l(self) -> np.ndarray:
-        if self.eps == 0.0:
-            return np.zeros_like(self.lambda2_values)
-        return (self.lambda2_values - 1.0) / self.eps ** 2
-
-
-@dataclass(frozen=True)
 class DriverCovariance:
     """Covariance of the driver triple at one scale, per unit ``dlam2``.
 
     The stored 12x12 ``matrix`` refers to the rescaled components
-    ``(dphi/L, grad, L*hess)`` and is free of ``L``, as are the blocks
-    exposed below; no raw (``L``-carrying) block is formed.
+    ``(dphi/L, grad, L*hess)`` and is free of ``L``; no raw (``L``-carrying)
+    block is formed.
     """
 
     lambda2: float
-    eps: float
     matrix: np.ndarray
     _eig: tuple = field(repr=False, default=None)
-
-    @property
-    def c11(self) -> np.ndarray:
-        """Gradient block (scale free)."""
-        return self.matrix[2:6, 2:6]
-
-    @property
-    def c02(self) -> np.ndarray:
-        """Cross dphi/Hessian block (scale free: the L factors cancel)."""
-        return self.matrix[:2, 6:12]
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
         if self._eig is None:
@@ -151,7 +108,7 @@ def build_cov(lambda2: float, eps: float) -> DriverCovariance:
         raise ValueError("lambda2 must be >= 1")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    cov = DriverCovariance(lambda2, eps, unit_matrix() / lambda2)
+    cov = DriverCovariance(lambda2, unit_matrix() / lambda2)
     cov.eigensystem()
     return cov
 
@@ -165,15 +122,11 @@ def gaussian_from_factor(fac: np.ndarray, rng: np.random.Generator, n: int) -> n
     return rng.standard_normal((n, fac.shape[0])) @ fac.T
 
 
-#: Hessian components (c, a, b), a <= b, in the order the 12-vector holds them
-HESS_SLOTS = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1))
-
-
 def components_to_fields(vec: np.ndarray) -> list:
     """Read sampled 12-vectors as the 11 increment planes of the Euler kernel.
 
     The planes are dphi^0, dphi^1, the gradient g00, g01, g10 and the Hessian
-    components in ``HESS_SLOTS`` order, each of batch shape
+    components in ``tensor2d.HESS_SLOTS`` order, each of batch shape
     ``vec.shape[:-1]``; all but g00 are views into ``vec``.  The gradient is
     trace free, g11 = -g00 = -(v2 - v5)/2: the trace is a null direction of
     the law, and sampling leaves only the root of a rounding-level
@@ -242,25 +195,6 @@ def step_covariance(x_lo: float, x_hi: float, eps: float,
 
     block = np.repeat([0, 1, 2], [2, 4, 6])
     mat = unit_matrix() * radial[np.ix_(block, block)]
-    cov = DriverCovariance(x_lo, eps, mat)
+    cov = DriverCovariance(x_lo, mat)
     cov.eigensystem()
     return cov
-
-
-def cprime_spectrum(k: np.ndarray, eps: float, l_max: float) -> np.ndarray:
-    """Spectral density four-tensor of the integrated gradient driver.
-
-    ``eps^2 / (1 - eps^2 ln|k|)`` inside the annulus ``1/l_max < |k| <= 1``
-    times ``|k|^-6 ((Jk)* x k) x ((Jk)* x k)``; identically zero outside.
-    """
-    k = np.asarray(k, dtype=float)
-    norm2 = float(k @ k)
-    if norm2 == 0.0:
-        raise ValueError("spectrum undefined at k = 0")
-    norm = np.sqrt(norm2)
-    if norm > 1.0 or norm <= 1.0 / l_max:
-        return np.zeros((2, 2, 2, 2))
-    jk = tensor2d.J @ k
-    pref = eps ** 2 / (1.0 - eps ** 2 * np.log(norm)) / norm2 ** 3
-    m = np.einsum('a,b->ab', jk, k)
-    return pref * np.einsum('ab,cd->abcd', m, m)

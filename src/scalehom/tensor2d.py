@@ -10,7 +10,7 @@ endomorphism of cotangent space (a Jacobian-like object ``F``) is stored as
 ``F[i, j] = F^i_j`` with row = field component, column = derivative
 direction, i.e. ``(grad phi)[i, j] = d_j phi^i``.  Observables ``G`` dual to
 such Jacobians are endomorphisms of tangent space with the same array layout;
-the duality pairing is ``pair_endo(G, F) = sum_ij G[i,j] F[j,i] = tr(G F)``.
+the duality pairing is ``sum_ij G[i,j] F[j,i] = tr(G F)``.
 
 Third-order observables live in (cotangent) x (tangent) x (tangent) and are
 stored as ``T[a, b, c]`` = coefficient of ``e^a (x) e_b (x) e_c``; they pair
@@ -75,9 +75,10 @@ TRI_AUX8 = _tri((1, 0, 0, -2), (0, 1, 0, 1), (0, 0, 1, 1))
 
 BULLET_DIAG = np.array([0.5, 0.5, 0.5, 0.5, 0.0, 0.0])
 
-# Canonical coordinates of a symmetric third-order observable: components
-# (a, bc) for bc in {00, 01, 11}, cotangent slot major.
-_CANON = [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)]
+#: canonical coordinates of a symmetric third-order observable, and the order
+#: in which the driver 12-vector holds the Hessian components: (c, a, b) with
+#: a <= b, cotangent slot major
+HESS_SLOTS = ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1))
 
 
 def _exact_inverse(cols: list[list[int]]) -> np.ndarray:
@@ -100,12 +101,11 @@ def _exact_inverse(cols: list[list[int]]) -> np.ndarray:
 
 def _canon_coords(t: np.ndarray) -> np.ndarray:
     """Canonical 6-vector of (batched) symmetric third-order observables."""
-    return np.stack([t[..., a, b, c] for (a, b, c) in _CANON], axis=-1)
+    return np.stack([t[..., a, b, c] for (a, b, c) in HESS_SLOTS], axis=-1)
 
 
-_BASIS_COLS = [[int(TRI_BASIS[n][idx]) for idx in _CANON] for n in range(6)]
-# coefficient extraction matrix: coeffs = canon @ _EXPAND.T (exact dyadic entries)
-_EXPAND = _exact_inverse(_BASIS_COLS)
+# coefficients in TRI_BASIS from canonical coordinates (exact dyadic entries)
+_EXPAND = _exact_inverse([[int(t[s]) for s in HESS_SLOTS] for t in TRI_BASIS])
 
 # bullet as a quadratic form directly on canonical coordinates
 _BULLET_GRAM6 = _EXPAND.T @ np.diag(BULLET_DIAG) @ _EXPAND
@@ -116,19 +116,6 @@ _FROB_W = np.sqrt(np.array([1.0, 2.0, 1.0, 1.0, 2.0, 1.0]))
 #: sharp constant of bullet relative to the squared Frobenius norm
 BULLET_OPNORM = float(np.linalg.eigvalsh(
     _BULLET_GRAM6 / _FROB_W[:, None] / _FROB_W[None, :]).max())
-
-#: sharp constant of diamond relative to the squared Frobenius norm
-DIAMOND_OPNORM = 0.5
-
-
-def vec_pair(xi: np.ndarray, xdot: np.ndarray) -> np.ndarray:
-    """Observable ``xi (x) xdot`` as an endomorphism-of-tangent-space array."""
-    return np.outer(xdot, xi)
-
-
-def tri_pair(xi: np.ndarray, xdot: np.ndarray, ydot: np.ndarray) -> np.ndarray:
-    """Third-order observable ``xi (x) xdot (x) ydot`` as a (2,2,2) array."""
-    return np.einsum('a,b,c->abc', xi, xdot, ydot)
 
 
 def det(f: np.ndarray) -> np.ndarray:
@@ -152,11 +139,6 @@ def frobenius(f: np.ndarray) -> np.ndarray:
     """Frobenius norm of (batched) 2x2 arrays."""
     f = np.asarray(f)
     return np.sqrt(np.sum(f * f, axis=(-2, -1)))
-
-
-def pair_endo(g: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Duality pairing of an observable with a Jacobian: sum_ij G[i,j] F[j,i]."""
-    return np.einsum('...ij,...ji->...', g, f)
 
 
 def diamond(g: np.ndarray, g2: np.ndarray | None = None) -> np.ndarray:
@@ -183,21 +165,6 @@ def sym_last_two(t: np.ndarray) -> np.ndarray:
     return 0.5 * (t + np.swapaxes(t, -2, -1))
 
 
-def basis_expand(t: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
-    """Coefficients of a symmetric third-order observable in ``TRI_BASIS``.
-
-    The reconstruction ``sum_n c_n TRI_BASIS[n]`` is exact for exact dyadic
-    inputs.  Raises ``ValueError`` if the input is not symmetric in its last
-    two slots.
-    """
-    t = np.asarray(t, dtype=float)
-    asym = np.max(np.abs(t - np.swapaxes(t, -2, -1)))
-    scale = max(np.max(np.abs(t)), 1.0)
-    if asym > rtol * scale:
-        raise ValueError(f"observable not symmetric in last two slots (|asym| = {asym:g})")
-    return _canon_coords(t) @ _EXPAND.T
-
-
 def bullet(t: np.ndarray, t2: np.ndarray | None = None) -> np.ndarray:
     """Quadratic-variation form of the Hessian driver (polarized).
 
@@ -209,22 +176,6 @@ def bullet(t: np.ndarray, t2: np.ndarray | None = None) -> np.ndarray:
     s = _canon_coords(sym_last_two(np.asarray(t, dtype=float)))
     s2 = s if t2 is None else _canon_coords(sym_last_two(np.asarray(t2, dtype=float)))
     return np.einsum('...i,ij,...j->...', s, _BULLET_GRAM6, s2)
-
-
-def rotation(theta: float) -> np.ndarray:
-    """Rotation matrix by ``theta`` (acts identically on both vector roles)."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def act_endo(q: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Rotation action on endomorphism observables: conjugation Q G Q^T."""
-    return np.einsum('ai,...ij,bj->...ab', q, np.asarray(g, dtype=float), q)
-
-
-def act_tri(q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Rotation action on third-order observables (same rotation in each slot)."""
-    return np.einsum('ai,bj,ck,...ijk->...abc', q, q, q, np.asarray(t, dtype=float))
 
 
 def contract_identities(rng: np.random.Generator, n_samples: int = 10_000) -> dict[str, float]:

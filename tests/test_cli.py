@@ -228,6 +228,24 @@ class TestOtherCommands:
         assert payload["algebra suite"]["pass"]
         assert payload["covariance consistency"]["pass"]
 
+    def test_numpy_booleans_written_as_json_booleans(self, tmp_path):
+        path = small_config(tmp_path, field={"box_mult": 2.0})
+        out = tmp_path / "bools"
+        assert cli.dispatch(["qv-check", "--config", str(path), "--out", str(out)]) == 0
+        payload = json.loads((out / "qv_check.json").read_text())
+        assert payload["algebra suite"]["pass"] is True
+        cli.dispatch(["field-run", "--config", str(path), "--out", str(out)])
+        meta = json.loads((out / "field_moments.csv.meta.json").read_text())
+        assert isinstance(meta["qv_ok"], bool)
+
+    def test_sidecar_writes_numpy_scalars_as_python_values(self, tmp_path):
+        cfg = cli.RunConfig.parse(cli.DEFAULT_CONFIG)
+        extra = {"x": np.float64(0.1), "n": np.int64(3), "ok": np.bool_(False)}
+        cli.write_sidecar(tmp_path / "data.csv", cfg, 11, 1.5, extra)
+        meta = json.loads((tmp_path / "data.csv.meta.json").read_text())
+        assert meta["x"] == 0.1 and meta["n"] == 3 and meta["ok"] is False
+        assert isinstance(meta["n"], int)
+
     def test_corrector_run(self, tmp_path):
         path = small_config(tmp_path)
         out = tmp_path / "corr"

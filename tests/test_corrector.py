@@ -183,10 +183,10 @@ class TestJacobianStats:
 
     def test_truncated_table_monotone(self, sample_problem):
         _, sol1, sol2 = sample_problem
-        st = co.jacobian_stats(sol1, sol2, r_schedule=(0.5, 1.0, 2.0, 8.0))
-        vals = [st.truncated[r] for r in (0.5, 1.0, 2.0, 8.0)]
+        st = co.jacobian_stats(sol1, sol2)
+        vals = [st.truncated[r] for r in co.R_SCHEDULE]
         assert np.all(np.diff(vals) >= 0.0)
-        assert st.truncated[8.0] == 1.0
+        assert st.truncated[4.0] == 1.0
 
 
 class TestMeshConvergence:

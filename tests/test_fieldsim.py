@@ -91,7 +91,7 @@ class TestSpectralHelper:
         grid = cfg.grid()
         ladder = cfg.shells()
         sh = fs.sample_shell_field(grid, ladder[0], ladder[1], 0.66, stream(14, "drv"))
-        drv = fs.driver_fields(sh, 1.3, 0.02, 1.1)
+        drv = fs.driver_fields(sh, 1.3, 0.02)
         k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
         kx, ky = k[:, None], k[None, :]
         k2 = kx * kx + ky * ky
@@ -153,7 +153,7 @@ class TestDriverFields:
     def test_local_relations_pointwise(self, small_grid):
         sh = fs.sample_shell_field(small_grid, 2.0, 2.0 * 2 ** 0.25, 0.5, stream(7, "d"))
         lam2 = 1.5
-        drv = fs.driver_fields(sh, lam2, 0.05, 2.0 * 2 ** 0.125)
+        drv = fs.driver_fields(sh, lam2, 0.05)
         scale = np.abs(drv.dpsi).max()
         trace = drv.grad[0, 0] + drv.grad[1, 1]
         assert np.abs(trace).max() <= 1e-10 * scale
@@ -163,7 +163,7 @@ class TestDriverFields:
 
     def test_hessian_symmetry(self, small_grid):
         sh = fs.sample_shell_field(small_grid, 2.0, 4.0, 0.5, stream(8, "h"))
-        drv = fs.driver_fields(sh, 1.4, 0.1, 2.8)
+        drv = fs.driver_fields(sh, 1.4, 0.1)
         assert np.array_equal(drv.hess[:, 0, 1], drv.hess[:, 1, 0])
 
     def test_single_direction_variance(self, small_grid):
@@ -176,7 +176,7 @@ class TestDriverFields:
         vals = []
         for i in range(200):
             sh = fs.sample_shell_field(small_grid, l_lo, l_hi, eps, stream(9, "v", i))
-            drv = fs.driver_fields(sh, lam2, dlam2, l_mid)
+            drv = fs.driver_fields(sh, lam2, dlam2)
             vals.append(np.mean(drv.dphi[0] ** 2))
         expect = l_mid ** 2 * dlam2 / (2.0 * lam2)
         assert abs(np.mean(vals) / expect - 1.0) < 0.10
@@ -191,7 +191,7 @@ class TestDriverFields:
         vals = []
         for i in range(200):
             sh = fs.sample_shell_field(small_grid, l_lo, l_hi, eps, stream(10, "g", i))
-            drv = fs.driver_fields(sh, lam2, dlam2, l_mid)
+            drv = fs.driver_fields(sh, lam2, dlam2)
             vals.append(np.mean(np.sum(drv.grad ** 2, axis=(0, 1))))
         expect = dlam2 / lam2
         assert abs(np.mean(vals) / expect - 1.0) < 0.10
@@ -204,7 +204,7 @@ class TestStepFields:
         zero = fs.DriverFields(
             np.zeros((128, 128)), np.zeros((2, 128, 128)),
             np.zeros((2, 2, 128, 128)), np.zeros((2, 2, 2, 128, 128)),
-            np.zeros((2, 128, 128)), 1.0, 0.05, 1.0)
+            np.zeros((2, 128, 128)), 0.05)
         out = fs.step_fields(state, zero)
         assert np.array_equal(out.phi, state.phi)
         assert np.array_equal(out.f, state.f)
@@ -215,7 +215,7 @@ class TestStepFields:
         zero = fs.DriverFields(
             np.zeros((128, 128)), np.zeros((2, 128, 128)),
             np.zeros((2, 2, 128, 128)), np.zeros((2, 2, 2, 128, 128)),
-            np.zeros((2, 128, 128)), 1.0, 0.05, 1.0)
+            np.zeros((2, 128, 128)), 0.05)
         with pytest.raises(FloatingPointError, match=r"\(3, 5\)"):
             fs.step_fields(state, zero)
 

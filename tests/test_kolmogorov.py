@@ -51,7 +51,7 @@ class TestTerminalData:
 class TestEvolve:
     def test_constant_profile_preserved(self, base_profile):
         _, prof = base_profile
-        flat = ko.TailProfile(prof.sigma, np.ones_like(prof.values), 0.0, -1.0)
+        flat = ko.TailProfile(prof.sigma, np.ones_like(prof.values))
         out = ko.evolve(flat, 1.0)
         assert np.allclose(out.values, 1.0, atol=1e-14)
 
@@ -60,7 +60,7 @@ class TestEvolve:
         # cutoff; the half-height point therefore sits at the shifted center
         _, prof = base_profile
         c, s = -1.0, 1.5
-        stepdata = ko.TailProfile(prof.sigma, (prof.sigma < c).astype(float), 0.0, c)
+        stepdata = ko.TailProfile(prof.sigma, (prof.sigma < c).astype(float))
         out = ko.evolve(stepdata, s)
         oracle = [ko.phi_upper_bound(ko.TailConfig(s, c - 1.0), 0.0, x)
                   for x in prof.sigma]
@@ -87,7 +87,7 @@ class TestEvolve:
         rng = np.random.default_rng(0)
         wiggly = np.clip(prof.values + 0.05 * np.sin(7 * prof.sigma), 0, 1)
         before = np.sum(np.abs(np.diff(wiggly)))
-        out = ko.evolve(ko.TailProfile(prof.sigma, wiggly, 0.0, -1.0), 1.0)
+        out = ko.evolve(ko.TailProfile(prof.sigma, wiggly), 1.0)
         assert np.sum(np.abs(np.diff(out.values))) <= before + 1e-9
 
     def test_under_resolved_kernel_rejected(self, base_profile):
@@ -115,8 +115,9 @@ class TestEvolve:
 
     def test_observable_coordinates(self, base_profile):
         cfg, prof = base_profile
-        r, zeta = prof.observable(tau_prime=cfg.tau)
-        # on the plateau zeta = r / lam with lam = e^{tau/2}
+        # r = e^{tau'/2 + sig}; on the plateau zeta = r / lam with lam = e^{tau/2}
+        r = np.exp(0.5 * cfg.tau + prof.sigma)
+        zeta = ko.RampEvolution(cfg.sigma_hat).observable_values(cfg.tau, cfg.tau, r)
         lam = np.exp(cfg.tau / 2.0)
         plateau = prof.sigma <= cfg.sigma_hat
         assert np.allclose(zeta[plateau], r[plateau] / lam, rtol=1e-12)

@@ -1,5 +1,9 @@
 """Drift-diffusion integration: slopes, enhancement, conservation checks."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,6 +12,17 @@ from scalehom import particle as pa
 from scalehom.corrector import sample_stream_function
 from scalehom.fieldsim import TorusGrid
 from scalehom.rng import stream
+
+CHECKS = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+
+
+def load_bench_checks():
+    """The benchmark's package-independent output checks (``bench/checks.py``)."""
+    spec = importlib.util.spec_from_file_location("bench_checks", CHECKS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
@@ -19,7 +34,8 @@ def drift_env():
 
 class TestDriftField:
     def test_divergence_free_spectrally(self, drift_env):
-        assert drift_env.max_divergence() < 1e-10
+        checks = load_bench_checks()
+        assert checks.max_divergence(drift_env.b, drift_env.grid.box_len) < 1e-10
 
     def test_finite_amplitude(self, drift_env):
         assert np.all(np.isfinite(drift_env.b))

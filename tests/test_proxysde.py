@@ -119,7 +119,7 @@ class TestEnsemble:
             cov = step_covariance(*args, **kwargs)
             mat = cov.matrix.copy()
             mat[:2, 6:], mat[6:, :2] = 0.0, 0.0
-            return shellcov.DriverCovariance(cov.lambda2, cov.eps, mat)
+            return shellcov.DriverCovariance(cov.lambda2, mat)
 
         monkeypatch.setattr(proxysde.shellcov, "step_covariance", without_cross_block)
         b = proxysde.run_ensemble(proxysde.SdeConfig(seed=7, **base)).series
@@ -240,7 +240,7 @@ class TestNonFiniteReport:
         monkeypatch.setattr(proxysde, "_prepare_steps", inflated)
         cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.5, n_steps=8, n_traj=200,
                                  seed=1, mode="exp", block_size=64)
-        x = cfg.grid().lambda2_values
+        x = cfg.grid()
         with pytest.raises(FloatingPointError,
                            match=rf"block 0: first bad trajectory 0, moment sums first "
                                  rf"non-finite at lam2 = {x[2]:.17g} \(grid step 2\)"):
@@ -265,7 +265,7 @@ class TestNonFiniteReport:
         monkeypatch.setattr(proxysde, "stream", stream)
         cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.5, n_steps=8, n_traj=200,
                                  seed=1, block_size=64)
-        x = cfg.grid().lambda2_values
+        x = cfg.grid()
         with pytest.raises(FloatingPointError,
                            match=rf"block 1: first bad trajectory 101, moment sums first "
                                  rf"non-finite at lam2 = {x[5]:.17g} \(grid step 5\)"):

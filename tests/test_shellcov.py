@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from scalehom import shellcov, tensor2d
+from scalehom import proxysde, shellcov, tensor2d
 
 
 def circle_moment_oracle(p, q, n=20001):
@@ -49,16 +49,19 @@ class TestAngularMoments:
 
 
 class TestScaleGrid:
+    """The lam2 grid whose steps the shell covariances are integrated over."""
+
     def test_uniform_grid(self):
-        g = shellcov.ScaleGrid.uniform(0.2, 4.0, 10)
-        assert g.lambda2_values[0] == 1.0
-        assert g.lambda2_values[-1] == pytest.approx(4.0)
-        # d(lam2) = eps^2 d(ln L)
-        assert np.allclose(np.diff(g.lambda2_values), 0.04 * np.diff(g.ln_l))
+        g = proxysde.SdeConfig(eps=0.2, lambda2_max=4.0, n_steps=10, n_traj=1).grid()
+        assert g[0] == 1.0
+        assert g[-1] == pytest.approx(4.0)
+        assert np.allclose(np.diff(g), 0.3)
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError):
-            shellcov.ScaleGrid(0.2, np.array([1.0, 1.0, 2.0]))
+            proxysde.SdeConfig(eps=0.2, lambda2_max=1.0, n_steps=10, n_traj=1)
+        with pytest.raises(ValueError):
+            proxysde.SdeConfig(eps=0.2, lambda2_max=4.0, n_steps=0, n_traj=1)
 
 
 class TestBuildCov:
@@ -71,14 +74,14 @@ class TestBuildCov:
         # matching the normalization of the stream increment it reconstructs
         cov = shellcov.build_cov(2.3, 0.4)
         w = grad_weights(tensor2d.J)
-        assert w @ cov.c11 @ w == pytest.approx(1.0 / 2.3, rel=1e-14)
+        assert w @ cov.matrix[2:6, 2:6] @ w == pytest.approx(1.0 / 2.3, rel=1e-14)
 
     def test_c11_reproduces_diamond(self):
         cov = shellcov.build_cov(1.9, 0.3)
         rng = np.random.default_rng(0)
         for _ in range(100):
             g = rng.standard_normal((2, 2))
-            qf = grad_weights(g) @ cov.c11 @ grad_weights(g)
+            qf = grad_weights(g) @ cov.matrix[2:6, 2:6] @ grad_weights(g)
             assert qf == pytest.approx(tensor2d.diamond(g) / 1.9, abs=1e-12)
 
     def test_c22_reproduces_bullet(self):
@@ -98,7 +101,7 @@ class TestBuildCov:
     def test_c02_entry(self):
         cov = shellcov.build_cov(1.5, 0.3)
         # Cov(dphi^1, d1 d1 dphi^1) = -<t1^2 t2^2>/lam2 = -1/(8 lam2)
-        assert cov.c02[0, 0] == pytest.approx(-1.0 / (8.0 * 1.5), rel=1e-14)
+        assert cov.matrix[0, 6] == pytest.approx(-1.0 / (8.0 * 1.5), rel=1e-14)
 
     def test_c02_matches_annulus_quadrature_oracle(self):
         lam2, eps = 1.7, 0.3
@@ -112,11 +115,10 @@ class TestBuildCov:
         jt = tensor2d.J @ tt
         radial = integrate.simpson(1.0 / rs, x=rs)
         for c in range(2):
-            for col, (d, a, b) in enumerate(
-                    [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0), (1, 0, 1), (1, 1, 1)]):
+            for col, (d, a, b) in enumerate(tensor2d.HESS_SLOTS):
                 ang = np.mean(tt[a] * tt[b] * jt[c] * jt[d])
                 oracle = -ang * radial / (lam2 * delta)
-                assert cov.c02[c, col] == pytest.approx(oracle, abs=1e-8)
+                assert cov.matrix[c, 6 + col] == pytest.approx(oracle, abs=1e-8)
 
     def test_psd_and_rank(self):
         cov = shellcov.build_cov(3.0, 0.2)
@@ -158,7 +160,7 @@ class TestIntegratedShell:
         x1, x2 = 1.5, 7.0
         w = grad_weights(tensor2d.J)
         val, _ = integrate.quad(
-            lambda x: w @ shellcov.build_cov(x, 0.3).c11 @ w, x1, x2, epsabs=1e-12)
+            lambda x: w @ shellcov.build_cov(x, 0.3).matrix[2:6, 2:6] @ w, x1, x2, epsabs=1e-12)
         assert val == pytest.approx(np.log(x2 / x1), abs=1e-10)
 
 
@@ -241,31 +243,3 @@ class TestStepCovariance:
         got = shellcov.step_covariance(1.0, 25.0, 0.1)
         w, _ = got.eigensystem()
         assert np.all(np.isfinite(got.matrix)) and w[0] >= 0.0
-
-
-class TestCprimeSpectrum:
-    def test_prefactor_at_unit_radius(self):
-        t = shellcov.cprime_spectrum(np.array([1.0, 0.0]), 0.7, 100.0)
-        assert np.sum(np.abs(t)) == pytest.approx(0.49, rel=1e-12)
-
-    def test_zero_outside_annulus(self):
-        assert np.all(shellcov.cprime_spectrum(np.array([0.0, 1e-3]), 0.5, 100.0) == 0.0)
-        assert np.all(shellcov.cprime_spectrum(np.array([0.0, 1.5]), 0.5, 100.0) == 0.0)
-
-    def test_rank_one_pattern(self):
-        t = shellcov.cprime_spectrum(np.array([1.0, 0.0]), 1.0, 100.0)
-        expect = np.zeros((2, 2, 2, 2))
-        expect[1, 0, 1, 0] = 1.0   # (Jk)* x k concentrated on the rotated axis
-        assert np.array_equal(t, expect)
-
-    def test_log_discount_deep_in_annulus(self):
-        eps, l_max = 0.5, 1e6
-        k = np.array([1e-3, 0.0])
-        t = shellcov.cprime_spectrum(k, eps, l_max)
-        pref = eps ** 2 / (1.0 - eps ** 2 * np.log(1e-3))
-        # ((Jk)* x k) x ((Jk)* x k) / |k|^6 = 1e-12 / 1e-18 on the surviving entry
-        assert t[1, 0, 1, 0] == pytest.approx(pref * 1e6, rel=1e-10)
-
-    def test_rejects_origin(self):
-        with pytest.raises(ValueError):
-            shellcov.cprime_spectrum(np.zeros(2), 0.5, 10.0)
