@@ -116,8 +116,8 @@ def criterion_1_algebra():
 @_timed
 def criterion_2_covariance():
     """Spectral covariance reproduces both forms; cross block vs quadrature."""
-    lam2, eps = 1.7, 0.3
-    cov = shellcov.build_cov(lam2, eps)
+    lam2 = 1.7
+    cov = shellcov.build_cov(lam2)
     c11, c22r, c02 = cov.matrix[2:6, 2:6], cov.matrix[6:12, 6:12], cov.matrix[:2, 6:12]
     rng = stream(SEED, "accept-cov")
     dev_d = 0.0

@@ -59,7 +59,7 @@ _POW2 = ("power of two", lambda v: v > 1 and v & (v - 1) == 0)
 SCHEMA = {
     "run": {
         "seed": ("11", int, _NONNEG),
-        "threads": ("1", int, _POS),
+        "threads": ("0", int, _NONNEG),
         "out_dir": (".", str, None),
     },
     "sde": {
@@ -258,7 +258,8 @@ def run_sde(sec, seed, threads):
     rows = [[s.lambda2[i], s.ln_l[i], *s.means[i], *s.ses[i]]
             for i in range(len(s.lambda2))]
     return {"sde_series.csv": Csv(_moment_header(["lambda2", "ln_l"]), rows)}, \
-        {"n_traj": run.n_traj, "mode": run.mode}, True
+        {"n_traj": run.n_traj, "mode": run.mode,
+         "workers": proxysde.resolve_workers(run.workers)}, True
 
 
 def run_ode(sec, seed, threads):

@@ -318,16 +318,12 @@ class TailReport:
 
     eps: float
     tau: float
-    r_rel: float
-    ratio: float            # E[f2 1(f2 <= r_rel E f2)] / E f2
+    ratio: float            # E[f2 1(f2 <= relative threshold * E f2)] / E f2
     lhs: float              # ratio * E f2 / lam
     e_zeta_mc: float
-    se_zeta_mc: float
     z0: float
     i1: float
     i2: float
-    c1: float
-    c2: float
     rhs: float
     chain_ok: bool
     regime_ok: bool
@@ -387,6 +383,5 @@ def verify_tail(samples_f2: np.ndarray, eps: float, lambda2: float,
             f"{relative_threshold(lambda2, 1.0):.3g}")
     chain_ok = (lhs <= e_zeta + 3.0 * se_zeta + 1e-12) \
         and (e_zeta <= rhs + 3.0 * se_zeta + 1e-12)
-    return TailReport(eps, cfg.tau, r_rel, ratio, lhs, e_zeta, se_zeta, z0,
-                      terms.i1, terms.i2, float(c1), float(c2), float(rhs),
-                      bool(chain_ok), regime_ok, warnings)
+    return TailReport(eps, cfg.tau, ratio, lhs, e_zeta, z0, terms.i1, terms.i2,
+                      float(rhs), bool(chain_ok), regime_ok, warnings)

@@ -28,15 +28,20 @@ exponential with unit determinant.  :func:`euler_update` is the one
 implementation of this step, on component planes (phi^0, phi^1, F00, F01,
 F10, F11) of any batch shape; the field mode uses it too.
 
-Trajectories are embarrassingly parallel: they are processed in fixed-size
-blocks, each block drawing from its own counter-based stream keyed by
-(seed, block, step), and block results are reduced in block order, so output
+Trajectories run in fixed-size blocks, in order, and block results are
+reduced in block order.  Each (block, step) draws its normals from its own
+counter-based stream keyed by (seed, block, step); with more than one
+worker, pool threads draw the next steps while the caller's thread applies
+the current one.  The drawing runs in parallel, not the blocks, and output
 is identical for any worker count.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +55,14 @@ MOMENT_NAMES = (
     "closure_mix", "closure_bullet", "closure_adj",
 )
 
+#: steps drawn ahead of the one being applied; the ring holds one more
+DRAW_AHEAD = 2
+
+
+def resolve_workers(workers: int) -> int:
+    """Thread count of a ``workers`` setting: 0 means every core."""
+    return workers or os.cpu_count() or 1
+
 
 @dataclass(frozen=True)
 class SdeConfig:
@@ -58,7 +71,8 @@ class SdeConfig:
     ``mode='exp'`` drops the Hessian-driven term.  ``snapshot_points`` lists
     lam2 values (matched to the nearest grid point) at which per-trajectory
     samples of |F|^2 and det F are retained.  ``record_stride`` thins the
-    grid points at which moments are accumulated.
+    grid points at which moments are accumulated.  ``workers`` is the number
+    of threads drawing normals (0: every core, 1: drawn inline, no thread).
     """
 
     eps: float
@@ -68,7 +82,7 @@ class SdeConfig:
     seed: int = 0
     mode: str = "full"
     block_size: int = 16384
-    workers: int = 1
+    workers: int = 0
     snapshot_points: tuple = ()
     record_stride: int = 1
     lambda2_weighting: str = "exact"
@@ -84,6 +98,8 @@ class SdeConfig:
             raise ValueError(f"unknown weighting {self.lambda2_weighting!r}")
         if self.eps < 0.0:
             raise ValueError("eps must be nonnegative")
+        if self.workers < 0:
+            raise ValueError("workers must be nonnegative (0 means every core)")
 
     def grid(self) -> np.ndarray:
         """Uniform scale grid 1 = lam2_0 < ... < lam2_n = lambda2_max."""
@@ -248,8 +264,39 @@ def _initial_planes(*shape: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((2, *shape)), f
 
 
-def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_block):
+def _draw_pool(workers: int):
+    """The draw threads of a ``workers`` setting, or None: one draws inline."""
+    n = resolve_workers(workers)
+    return ThreadPoolExecutor(min(n, DRAW_AHEAD)) if n > 1 else nullcontext()
+
+
+def _normals(pool, seed: int, label: str, block: int, n_steps: int, n_rows: int):
+    """Each step's ``(n_rows, 12)`` standard normals, step ``i`` from
+    ``stream(seed, label, block, counter=i)``.  With a pool, its threads draw
+    steps i+1 ... i+DRAW_AHEAD into a ring of DRAW_AHEAD + 1 buffers while
+    the caller uses step i."""
+    ring = np.empty((1 if pool is None else DRAW_AHEAD + 1, n_rows, 12))
+
+    def draw(i):
+        return stream(seed, label, block, counter=i).standard_normal(
+            (n_rows, 12), out=ring[i % len(ring)])
+
+    if pool is None:
+        yield from map(draw, range(n_steps))
+        return
+    ahead = deque(pool.submit(draw, i) for i in range(min(DRAW_AHEAD, n_steps)))
+    for i in range(n_steps):
+        if i + DRAW_AHEAD < n_steps:
+            # the slot of step i - 1, which the caller is done with
+            ahead.append(pool.submit(draw, i + DRAW_AHEAD))
+        yield ahead.popleft().result()
+
+
+def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_block,
+               pool):
     phi, f = _initial_planes(n_block)
+    normals = _normals(pool, cfg.seed, "proxy-sde", block, cfg.n_steps, n_block)
+    vec = np.empty((n_block, 12))
     buf = np.empty((9, n_block))
     sums = np.zeros((len(rec_idx), 9))
     sumsq = np.zeros((len(rec_idx), 9))
@@ -270,8 +317,7 @@ def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_bl
         if factors is None:
             phi *= damps[i]
         else:
-            gen = stream(cfg.seed, "proxy-sde", block, counter=i)
-            vec = shellcov.gaussian_from_factor(factors[i], gen, n_block)
+            shellcov.gaussian_from_factor(factors[i], next(normals), vec)
             euler_update(phi, f, shellcov.components_to_fields(vec), damps[i],
                          cfg.mode == "full")
         record(i + 1)
@@ -299,25 +345,18 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleResult:
     x, factors, damps = _prepare_steps(cfg)
     rec_idx = _record_points(cfg)
     snap_idx = _snapshot_indices(cfg, x)
-    blocks = _blocks(cfg.n_traj, cfg.block_size)
-
-    def work(b):
-        return _run_block(cfg, x, factors, damps, rec_idx, snap_idx, b, blocks[b])
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(work, range(len(blocks))))
-    else:
-        results = [work(b) for b in range(len(blocks))]
 
     sums = np.zeros((len(rec_idx), 9))
     sumsq = np.zeros((len(rec_idx), 9))
     snap_parts: dict[int, list] = {g: [] for g in snap_idx}
-    for s, sq, snaps in results:
-        sums += s
-        sumsq += sq
-        for g, arrs in snaps.items():
-            snap_parts[g].append(arrs)
+    with _draw_pool(cfg.workers) as pool:
+        for b, n_block in enumerate(_blocks(cfg.n_traj, cfg.block_size)):
+            s, sq, snaps = _run_block(cfg, x, factors, damps, rec_idx, snap_idx, b,
+                                      n_block, pool)
+            sums += s
+            sumsq += sq
+            for g, arrs in snaps.items():
+                snap_parts[g].append(arrs)
 
     n = cfg.n_traj
     means = sums / n
@@ -351,45 +390,49 @@ def truncated_second_moment(samples_f2: np.ndarray, r_hat: float) -> float:
 
 def coupled_refinement(eps: float, lambda2_max: float, base_steps: int,
                        n_traj: int, seed: int = 0, levels: tuple = (1, 2, 4),
-                       mode: str = "full", block_size: int = 4096) -> dict[int, dict[str, float]]:
+                       mode: str = "full", block_size: int = 4096,
+                       workers: int = 0) -> dict[int, dict[str, float]]:
     """Common-noise refinement study for the weak convergence of the scheme.
 
     Simulates the finest grid once and aggregates its raw increments onto
     each coarser grid, so level differences are dominated by the O(dlam2)
     weak error rather than Monte Carlo noise.  Returns, per refinement
-    factor, the final E|F|^2 and the variance of det F.
+    factor, the final E|F|^2 and the variance of det F.  Identical for any
+    ``workers``, which draw normals ahead as in :func:`run_ensemble`.
     """
     finest = max(levels)
     if any(finest % lv for lv in levels):
         raise ValueError("levels must divide the finest refinement")
-    x_fine = np.linspace(1.0, lambda2_max, base_steps * finest + 1)
+    n_fine = base_steps * finest
+    x_fine = np.linspace(1.0, lambda2_max, n_fine + 1)
     fine_cfg = [shellcov.step_covariance(x_fine[i], x_fine[i + 1], eps).factor()
-                for i in range(base_steps * finest)]
+                for i in range(n_fine)]
     acc = {lv: np.zeros(3) for lv in levels}
 
-    for b, nb in enumerate(_blocks(n_traj, block_size)):
-        states = {lv: _initial_planes(nb) for lv in levels}
-        agg = {lv: np.zeros((11, nb)) for lv in levels}
-        for i in range(base_steps * finest):
-            gen = stream(seed, "proxy-refine", b, counter=i)
-            vec = shellcov.gaussian_from_factor(fine_cfg[i], gen, nb)
-            planes = np.array(shellcov.components_to_fields(vec))
+    with _draw_pool(workers) as pool:
+        for b, nb in enumerate(_blocks(n_traj, block_size)):
+            states = {lv: _initial_planes(nb) for lv in levels}
+            agg = {lv: np.zeros((11, nb)) for lv in levels}
+            vec = np.empty((nb, 12))
+            for i, z in enumerate(_normals(pool, seed, "proxy-refine", b, n_fine, nb)):
+                shellcov.gaussian_from_factor(fine_cfg[i], z, vec)
+                planes = np.array(shellcov.components_to_fields(vec))
+                for lv in levels:
+                    stride = finest // lv
+                    i_lo = (i // stride) * stride
+                    i_hi = i_lo + stride
+                    # raw-variable aggregation onto the coarse step [x_lo, x_hi]
+                    w_phi = np.exp((x_fine[i + 1] - x_fine[i_hi]) / eps ** 2)
+                    w_hess = np.exp(-(x_fine[i] - x_fine[i_lo]) / eps ** 2)
+                    agg[lv] += np.repeat([w_phi, 1.0, w_hess], [2, 3, 6])[:, None] * planes
+                    if i + 1 == i_hi:
+                        damp = np.exp(-(x_fine[i_hi] - x_fine[i_lo]) / eps ** 2)
+                        euler_update(*states[lv], agg[lv], damp, mode == "full")
+                        agg[lv][:] = 0.0
             for lv in levels:
-                stride = finest // lv
-                i_lo = (i // stride) * stride
-                i_hi = i_lo + stride
-                # raw-variable aggregation onto the coarse step [x_lo, x_hi]
-                w_phi = np.exp((x_fine[i + 1] - x_fine[i_hi]) / eps ** 2)
-                w_hess = np.exp(-(x_fine[i] - x_fine[i_lo]) / eps ** 2)
-                agg[lv] += np.repeat([w_phi, 1.0, w_hess], [2, 3, 6])[:, None] * planes
-                if i + 1 == i_hi:
-                    damp = np.exp(-(x_fine[i_hi] - x_fine[i_lo]) / eps ** 2)
-                    euler_update(*states[lv], agg[lv], damp, mode == "full")
-                    agg[lv][:] = 0.0
-        for lv in levels:
-            f = states[lv][1]
-            det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
-            acc[lv] += [np.sum(f * f), np.sum(det), np.sum(det * det)]
+                f = states[lv][1]
+                det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
+                acc[lv] += [np.sum(f * f), np.sum(det), np.sum(det * det)]
 
     out = {}
     for lv in levels:

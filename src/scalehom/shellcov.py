@@ -102,24 +102,35 @@ class DriverCovariance:
         return v * np.sqrt(w)
 
 
-def build_cov(lambda2: float, eps: float) -> DriverCovariance:
-    """Per-unit-``dlam2`` covariance of the rescaled driver triple."""
+def build_cov(lambda2: float) -> DriverCovariance:
+    """Per-unit-``dlam2`` covariance of the rescaled driver triple (free of eps)."""
     if lambda2 < 1.0:
         raise ValueError("lambda2 must be >= 1")
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     cov = DriverCovariance(lambda2, unit_matrix() / lambda2)
     cov.eigensystem()
     return cov
 
 
-def gaussian_from_factor(fac: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    """``n`` centred Gaussian rows with covariance ``fac @ fac.T``.
+#: rows per product call: keeps M*N*K under OpenBLAS's threading threshold,
+#: so the product runs on the caller's thread while other threads draw
+ROW_BLOCK = 1024
+
+
+def gaussian_from_factor(fac: np.ndarray, z: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """Centred Gaussian rows with covariance ``fac @ fac.T`` from normals ``z``.
 
     The one place where standard normals become driver increments: row ``i``
-    is ``fac @ z_i`` for the ``i``-th row of one ``(n, fac.shape[0])`` draw.
+    of ``out`` is ``fac @ z_i``.  The product runs in row blocks of
+    ``ROW_BLOCK``, bit-identical to ``z @ fac.T``; a lone last row joins the
+    block before it, as a one-row product goes through gemv, which sums in
+    another order.
     """
-    return rng.standard_normal((n, fac.shape[0])) @ fac.T
+    out = np.empty_like(z) if out is None else out
+    edges = [*range(0, max(len(z) - 1, 1), ROW_BLOCK), len(z)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        np.matmul(z[lo:hi], fac.T, out=out[lo:hi])
+    return out
 
 
 def components_to_fields(vec: np.ndarray) -> list:

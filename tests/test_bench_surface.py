@@ -8,6 +8,8 @@ therefore fail here rather than pass unnoticed in the benchmark.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from scalehom import proxysde
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -43,3 +45,21 @@ def test_tracer_skips_no_name():
         patches.undo()
     assert patches.skipped == []
     assert proxysde.run_ensemble is original
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_traced_draws_count_twelve_normals_per_step(workers):
+    # the draw hands its size to standard_normal; a draw into a buffer
+    # without one would be counted as a single normal
+    tracing = load_tracing()
+    tracer, patches = tracing.Tracer(), tracing.Patches()
+    cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.5, n_steps=6, n_traj=300,
+                             block_size=128, workers=workers)
+    try:
+        tracing.install(tracer, patches)
+        proxysde.run_ensemble(cfg)
+    finally:
+        patches.undo()
+    metrics = tracing.per_layer_metrics(tracer)
+    assert metrics["rng.normals_per_traj_step"][0] == 12
+    assert metrics["rng.streams_opened"][0] == 3 * cfg.n_steps

@@ -63,7 +63,7 @@ class TestRunConfig:
         # DEFAULT_CONFIG is rendered from SCHEMA; its parsed content, and so
         # every sidecar's config_sha256 at --config default, is pinned
         assert cli.RunConfig.parse(cli.DEFAULT_CONFIG).sha256() == \
-            "5742aee24efd76dfca2d25f902b28444b86384606ca15de593fcc95c09436b99"
+            "0fd8f2376c50d2c8ef67135c51f3e22fa16ca19f2faee1164f91e09dc6ab07ff"
 
     @pytest.mark.parametrize("section, values, key", [
         ("sde", {"snapshot_points": "x"}, "snapshot_points"),
@@ -103,7 +103,7 @@ class TestDispatch:
         assert cli.dispatch(["sde-run", "--config", "/nonexistent.cfg"]) == 1
 
     @pytest.mark.parametrize("argv, key", [
-        (["sde-run", "--threads", "0"], "threads"),
+        (["sde-run", "--threads", "-1"], "threads"),
         (["sde-run", "--seed", "-1"], "seed"),
         (["sde-run", "--seed", "x"], "seed"),
         (["tail-check", "--tau", "-1"], "tau"),
@@ -145,6 +145,14 @@ class TestSdeRun:
         meta = json.loads((out / "sde_series.csv.meta.json").read_text())
         assert meta["seed"] == 11 and "config_sha256" in meta
         assert "wall_time_s" in meta
+        # [run] threads = 0 by default: every core, recorded as resolved
+        assert meta["workers"] == proxysde.resolve_workers(0) >= 1
+
+    def test_sidecar_records_threads_flag(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.dispatch(["sde-run", "--config", str(small_config(tmp_path)),
+                             "--out", str(out), "--threads", "3"]) == 0
+        assert json.loads((out / "sde_series.csv.meta.json").read_text())["workers"] == 3
 
     def test_csv_columns_equal_run_ensemble(self, tmp_path):
         # 17 significant digits round-trip: every column reads back as the
@@ -168,13 +176,13 @@ class TestSdeRun:
     def test_byte_identical_across_runs_and_threads(self, tmp_path):
         path = small_config(tmp_path)
         outs = []
-        for name, threads in (("a", "1"), ("b", "4"), ("c", "1")):
+        for name, threads in (("a", "1"), ("b", "4"), ("c", "1"), ("d", "0"), ("e", "2")):
             out = tmp_path / name
             code = cli.dispatch(["sde-run", "--config", str(path),
                                  "--out", str(out), "--threads", threads])
             assert code == 0
             outs.append((out / "sde_series.csv").read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+        assert all(o == outs[0] for o in outs[1:])
 
     def test_seed_override_changes_data(self, tmp_path):
         path = small_config(tmp_path)

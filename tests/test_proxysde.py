@@ -1,5 +1,8 @@
 """Trajectory stepping, ensemble moments, and scheme-convergence checks."""
 
+import os
+import sys
+import threading
 import time
 
 import numpy as np
@@ -31,7 +34,8 @@ class TestStep:
         f0 = rng.standard_normal((2, 2, 4))
         f = f0.copy()
         fac = shellcov.step_covariance(1.0, 1.01, 0.5).factor()
-        inc = shellcov.components_to_fields(shellcov.gaussian_from_factor(fac, rng, 4))
+        vec = shellcov.gaussian_from_factor(fac, rng.standard_normal((4, 12)))
+        inc = shellcov.components_to_fields(vec)
         proxysde.euler_update(phi, f, inc, np.exp(-0.01 / 0.25))
         grad = np.array([[inc[2], inc[3]], [inc[4], -inc[2]]])
         assert np.allclose(f, f0 + np.einsum("cin,ijn->cjn", grad, f0), atol=1e-15)
@@ -43,7 +47,8 @@ class TestStep:
         rng = np.random.default_rng(2)
         n = 1_000_000
         fac = shellcov.step_covariance(1.0, 1.05, 0.5).factor()
-        inc = shellcov.components_to_fields(shellcov.gaussian_from_factor(fac, rng, n))
+        vec = shellcov.gaussian_from_factor(fac, rng.standard_normal((n, 12)))
+        inc = shellcov.components_to_fields(vec)
         phi, f = proxysde._initial_planes(n)
         proxysde.euler_update(phi, f, inc, np.exp(-0.05 / 0.25), full=False)
         det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
@@ -76,13 +81,40 @@ class TestEnsemble:
         assert np.array_equal(s.means[0], [0, 0, 2, 4, 1, 1, 0, 0, 0])
 
     def test_determinism_across_worker_counts(self):
+        # 20,000 = 4 blocks of 4096 and a short last one of 3616
         base = dict(eps=0.3, lambda2_max=2.0, n_steps=40, n_traj=20_000, seed=3,
-                    block_size=4096)
-        results = [proxysde.run_ensemble(proxysde.SdeConfig(workers=w, **base)).series
-                   for w in (1, 4, 16)]
+                    block_size=4096, snapshot_points=(1.5, 2.0))
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # a ring slot reused too early shows
+        try:
+            results = [proxysde.run_ensemble(proxysde.SdeConfig(workers=w, **base))
+                       for w in (1, 0, 2, 16)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        ref = results[0]
         for other in results[1:]:
-            assert np.array_equal(results[0].means, other.means)
-            assert np.array_equal(results[0].ses, other.ses)
+            assert np.array_equal(ref.series.means, other.series.means)
+            assert np.array_equal(ref.series.ses, other.series.ses)
+            for pt in (1.5, 2.0):
+                for key in ("f2", "det"):
+                    assert np.array_equal(ref.snapshots[pt][key], other.snapshots[pt][key])
+
+    def test_refinement_determinism_across_worker_counts(self):
+        kw = dict(n_traj=5000, seed=9, levels=(1, 2), block_size=2048)
+        threads = threading.active_count()
+        results = [proxysde.coupled_refinement(0.5, 2.0, 6, workers=w, **kw)
+                   for w in (1, 0, 2, 16)]
+        assert threading.active_count() == threads
+        assert all(r == results[0] for r in results[1:])
+
+    def test_workers_zero_means_every_core(self):
+        assert proxysde.resolve_workers(0) == (os.cpu_count() or 1)
+        assert proxysde.resolve_workers(3) == 3
+        assert proxysde.SdeConfig(eps=0.2, lambda2_max=2.0, n_steps=1, n_traj=1).workers == 0
+        with pytest.raises(ValueError, match="workers"):
+            proxysde.SdeConfig(eps=0.2, lambda2_max=2.0, n_steps=1, n_traj=1, workers=-3)
 
     def test_martingale_property_of_determinant(self):
         cfg = proxysde.SdeConfig(eps=0.25, lambda2_max=3.0, n_steps=150,
@@ -253,8 +285,8 @@ class TestNonFiniteReport:
             def __init__(self, gen):
                 self.gen = gen
 
-            def standard_normal(self, size):
-                z = self.gen.standard_normal(size)
+            def standard_normal(self, size, out=None):
+                z = self.gen.standard_normal(size, out=out)
                 z[37] = np.nan
                 return z
 
@@ -270,6 +302,36 @@ class TestNonFiniteReport:
                            match=rf"block 1: first bad trajectory 101, moment sums first "
                                  rf"non-finite at lam2 = {x[5]:.17g} \(grid step 5\)"):
             proxysde.run_ensemble(cfg)
+
+    def test_same_report_and_no_thread_left_for_any_workers(self, monkeypatch):
+        # a NaN drawn by a pool thread is reported as the inline draw reports
+        # it, and the draw threads are gone after the raise
+        real = proxysde.stream
+
+        def stream(seed, name, block, counter):
+            gen = real(seed, name, block, counter=counter)
+            if (block, counter) != (2, 3):
+                return gen
+
+            class Poisoned:
+                def standard_normal(self, size, out=None):
+                    z = gen.standard_normal(size, out=out)
+                    z[5] = np.nan
+                    return z
+            return Poisoned()
+
+        monkeypatch.setattr(proxysde, "stream", stream)
+        threads = threading.active_count()
+        messages = []
+        for workers in (1, 2):
+            cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.5, n_steps=8, n_traj=200,
+                                     seed=1, block_size=64, workers=workers)
+            with pytest.raises(FloatingPointError) as info:
+                proxysde.run_ensemble(cfg)
+            assert threading.active_count() == threads
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "block 2: first bad trajectory 133" in messages[0]
 
 
 class TestMomentSeriesView:
