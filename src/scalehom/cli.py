@@ -259,7 +259,7 @@ def run_sde(sec, seed, threads):
             for i in range(len(s.lambda2))]
     return {"sde_series.csv": Csv(_moment_header(["lambda2", "ln_l"]), rows)}, \
         {"n_traj": run.n_traj, "mode": run.mode,
-         "workers": proxysde.resolve_workers(run.workers)}, True
+         "workers": proxysde.draw_threads(run.workers)}, True
 
 
 def run_ode(sec, seed, threads):
@@ -350,7 +350,7 @@ def run_accept(sec, seed, threads):
     if seed != acceptance.SEED:
         raise ConfigError(f"accept runs at the fixed seed {acceptance.SEED} "
                           f"(acceptance.SEED), not {seed}")
-    results = acceptance.run_all(verbose=True)
+    results = acceptance.run_all(verbose=True, workers=threads)
     payload = {r.name: r.payload() for r in results}
     payload["all_pass"] = all(r.passed for r in results)
     return {"accept.json": payload}, {}, payload["all_pass"]

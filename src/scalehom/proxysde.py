@@ -31,8 +31,8 @@ F10, F11) of any batch shape; the field mode uses it too.
 Trajectories run in fixed-size blocks, in order, and block results are
 reduced in block order.  Each (block, step) draws its normals from its own
 counter-based stream keyed by (seed, block, step); with more than one
-worker, pool threads draw the next steps while the caller's thread applies
-the current one.  The drawing runs in parallel, not the blocks, and output
+worker, up to DRAW_AHEAD pool threads draw the next steps while the caller's
+thread applies the current one.  The drawing runs in parallel, not the blocks, and output
 is identical for any worker count.
 """
 
@@ -55,13 +55,15 @@ MOMENT_NAMES = (
     "closure_mix", "closure_bullet", "closure_adj",
 )
 
-#: steps drawn ahead of the one being applied; the ring holds one more
+#: steps drawn ahead of the one being applied; the ring holds one more, and
+#: no more threads than this draw
 DRAW_AHEAD = 2
 
 
-def resolve_workers(workers: int) -> int:
-    """Thread count of a ``workers`` setting: 0 means every core."""
-    return workers or os.cpu_count() or 1
+def draw_threads(workers: int) -> int:
+    """Threads that draw normals at a ``workers`` setting: 0 means every core,
+    and the count is capped at DRAW_AHEAD; 1 draws inline, starting none."""
+    return min(workers or os.cpu_count() or 1, DRAW_AHEAD)
 
 
 @dataclass(frozen=True)
@@ -72,7 +74,8 @@ class SdeConfig:
     lam2 values (matched to the nearest grid point) at which per-trajectory
     samples of |F|^2 and det F are retained.  ``record_stride`` thins the
     grid points at which moments are accumulated.  ``workers`` is the number
-    of threads drawing normals (0: every core, 1: drawn inline, no thread).
+    of threads drawing normals, capped at DRAW_AHEAD (0: every core up to
+    that cap, 1: drawn inline, no thread); see :func:`draw_threads`.
     """
 
     eps: float
@@ -266,8 +269,8 @@ def _initial_planes(*shape: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _draw_pool(workers: int):
     """The draw threads of a ``workers`` setting, or None: one draws inline."""
-    n = resolve_workers(workers)
-    return ThreadPoolExecutor(min(n, DRAW_AHEAD)) if n > 1 else nullcontext()
+    n = draw_threads(workers)
+    return ThreadPoolExecutor(n) if n > 1 else nullcontext()
 
 
 def _normals(pool, seed: int, label: str, block: int, n_steps: int, n_rows: int):
@@ -390,15 +393,14 @@ def truncated_second_moment(samples_f2: np.ndarray, r_hat: float) -> float:
 
 def coupled_refinement(eps: float, lambda2_max: float, base_steps: int,
                        n_traj: int, seed: int = 0, levels: tuple = (1, 2, 4),
-                       mode: str = "full", block_size: int = 4096,
-                       workers: int = 0) -> dict[int, dict[str, float]]:
+                       mode: str = "full", block_size: int = 4096
+                       ) -> dict[int, dict[str, float]]:
     """Common-noise refinement study for the weak convergence of the scheme.
 
     Simulates the finest grid once and aggregates its raw increments onto
     each coarser grid, so level differences are dominated by the O(dlam2)
     weak error rather than Monte Carlo noise.  Returns, per refinement
-    factor, the final E|F|^2 and the variance of det F.  Identical for any
-    ``workers``, which draw normals ahead as in :func:`run_ensemble`.
+    factor, the final E|F|^2 and the variance of det F.
     """
     finest = max(levels)
     if any(finest % lv for lv in levels):
@@ -409,30 +411,29 @@ def coupled_refinement(eps: float, lambda2_max: float, base_steps: int,
                 for i in range(n_fine)]
     acc = {lv: np.zeros(3) for lv in levels}
 
-    with _draw_pool(workers) as pool:
-        for b, nb in enumerate(_blocks(n_traj, block_size)):
-            states = {lv: _initial_planes(nb) for lv in levels}
-            agg = {lv: np.zeros((11, nb)) for lv in levels}
-            vec = np.empty((nb, 12))
-            for i, z in enumerate(_normals(pool, seed, "proxy-refine", b, n_fine, nb)):
-                shellcov.gaussian_from_factor(fine_cfg[i], z, vec)
-                planes = np.array(shellcov.components_to_fields(vec))
-                for lv in levels:
-                    stride = finest // lv
-                    i_lo = (i // stride) * stride
-                    i_hi = i_lo + stride
-                    # raw-variable aggregation onto the coarse step [x_lo, x_hi]
-                    w_phi = np.exp((x_fine[i + 1] - x_fine[i_hi]) / eps ** 2)
-                    w_hess = np.exp(-(x_fine[i] - x_fine[i_lo]) / eps ** 2)
-                    agg[lv] += np.repeat([w_phi, 1.0, w_hess], [2, 3, 6])[:, None] * planes
-                    if i + 1 == i_hi:
-                        damp = np.exp(-(x_fine[i_hi] - x_fine[i_lo]) / eps ** 2)
-                        euler_update(*states[lv], agg[lv], damp, mode == "full")
-                        agg[lv][:] = 0.0
+    for b, nb in enumerate(_blocks(n_traj, block_size)):
+        states = {lv: _initial_planes(nb) for lv in levels}
+        agg = {lv: np.zeros((11, nb)) for lv in levels}
+        vec = np.empty((nb, 12))
+        for i, z in enumerate(_normals(None, seed, "proxy-refine", b, n_fine, nb)):
+            shellcov.gaussian_from_factor(fine_cfg[i], z, vec)
+            planes = np.array(shellcov.components_to_fields(vec))
             for lv in levels:
-                f = states[lv][1]
-                det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
-                acc[lv] += [np.sum(f * f), np.sum(det), np.sum(det * det)]
+                stride = finest // lv
+                i_lo = (i // stride) * stride
+                i_hi = i_lo + stride
+                # raw-variable aggregation onto the coarse step [x_lo, x_hi]
+                w_phi = np.exp((x_fine[i + 1] - x_fine[i_hi]) / eps ** 2)
+                w_hess = np.exp(-(x_fine[i] - x_fine[i_lo]) / eps ** 2)
+                agg[lv] += np.repeat([w_phi, 1.0, w_hess], [2, 3, 6])[:, None] * planes
+                if i + 1 == i_hi:
+                    damp = np.exp(-(x_fine[i_hi] - x_fine[i_lo]) / eps ** 2)
+                    euler_update(*states[lv], agg[lv], damp, mode == "full")
+                    agg[lv][:] = 0.0
+        for lv in levels:
+            f = states[lv][1]
+            det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
+            acc[lv] += [np.sum(f * f), np.sum(det), np.sum(det * det)]
 
     out = {}
     for lv in levels:

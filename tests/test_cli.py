@@ -145,14 +145,16 @@ class TestSdeRun:
         meta = json.loads((out / "sde_series.csv.meta.json").read_text())
         assert meta["seed"] == 11 and "config_sha256" in meta
         assert "wall_time_s" in meta
-        # [run] threads = 0 by default: every core, recorded as resolved
-        assert meta["workers"] == proxysde.resolve_workers(0) >= 1
+        # [run] threads = 0 by default: every core, recorded as the threads
+        # that drew
+        assert meta["workers"] == proxysde.draw_threads(0) >= 1
 
-    def test_sidecar_records_threads_flag(self, tmp_path):
+    @pytest.mark.parametrize("threads, drew", [("1", 1), ("3", proxysde.DRAW_AHEAD)])
+    def test_sidecar_records_threads_that_drew(self, tmp_path, threads, drew):
         out = tmp_path / "out"
         assert cli.dispatch(["sde-run", "--config", str(small_config(tmp_path)),
-                             "--out", str(out), "--threads", "3"]) == 0
-        assert json.loads((out / "sde_series.csv.meta.json").read_text())["workers"] == 3
+                             "--out", str(out), "--threads", threads]) == 0
+        assert json.loads((out / "sde_series.csv.meta.json").read_text())["workers"] == drew
 
     def test_csv_columns_equal_run_ensemble(self, tmp_path):
         # 17 significant digits round-trip: every column reads back as the
@@ -280,7 +282,7 @@ class TestOtherCommands:
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_every_command_writes_sidecars(tmp_path, monkeypatch, capsys, command):
-    monkeypatch.setattr(cli.acceptance, "run_all", lambda verbose=True: [])
+    monkeypatch.setattr(cli.acceptance, "run_all", lambda verbose=True, workers=0: [])
     path = small_config(tmp_path, field={"box_mult": 2.0, "save_snapshot": "true"},
                         particle={"l_list": "4, 8", "n_list": "64, 64"})
     out = tmp_path / "out"
@@ -303,7 +305,8 @@ class TestAccept:
     def gate_calls(self, monkeypatch):
         calls = []
         monkeypatch.setattr(cli.acceptance, "run_all",
-                            lambda verbose=True: calls.append(verbose) or [])
+                            lambda verbose=True, workers=0:
+                            calls.append((verbose, workers)) or [])
         return calls
 
     def test_sidecar_records_the_seed_used(self, tmp_path, gate_calls):
@@ -311,7 +314,13 @@ class TestAccept:
         assert cli.dispatch(["accept", "--config", "default", "--out", str(out)]) == 0
         meta = json.loads((out / "accept.json.meta.json").read_text())
         assert meta["seed"] == cli.acceptance.SEED == 11
-        assert gate_calls == [True]
+        assert gate_calls == [(True, 0)]
+
+    def test_threads_flag_reaches_the_gate(self, tmp_path, gate_calls):
+        out = tmp_path / "acc"
+        assert cli.dispatch(["accept", "--config", "default", "--out", str(out),
+                             "--threads", "1"]) == 0
+        assert gate_calls == [(True, 1)]
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_other_seed_is_refused(self, tmp_path, gate_calls, capsys, how):

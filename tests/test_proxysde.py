@@ -101,17 +101,11 @@ class TestEnsemble:
                 for key in ("f2", "det"):
                     assert np.array_equal(ref.snapshots[pt][key], other.snapshots[pt][key])
 
-    def test_refinement_determinism_across_worker_counts(self):
-        kw = dict(n_traj=5000, seed=9, levels=(1, 2), block_size=2048)
-        threads = threading.active_count()
-        results = [proxysde.coupled_refinement(0.5, 2.0, 6, workers=w, **kw)
-                   for w in (1, 0, 2, 16)]
-        assert threading.active_count() == threads
-        assert all(r == results[0] for r in results[1:])
-
-    def test_workers_zero_means_every_core(self):
-        assert proxysde.resolve_workers(0) == (os.cpu_count() or 1)
-        assert proxysde.resolve_workers(3) == 3
+    def test_workers_zero_means_every_core_up_to_the_cap(self):
+        cap = proxysde.DRAW_AHEAD
+        assert proxysde.draw_threads(0) == min(os.cpu_count() or 1, cap)
+        assert proxysde.draw_threads(1) == 1
+        assert proxysde.draw_threads(cap + 1) == cap
         assert proxysde.SdeConfig(eps=0.2, lambda2_max=2.0, n_steps=1, n_traj=1).workers == 0
         with pytest.raises(ValueError, match="workers"):
             proxysde.SdeConfig(eps=0.2, lambda2_max=2.0, n_steps=1, n_traj=1, workers=-3)
