@@ -32,8 +32,8 @@ Trajectories run in fixed-size blocks, in order, and block results are
 reduced in block order.  Each (block, step) draws its normals from its own
 counter-based stream keyed by (seed, block, step); with more than one
 worker, up to DRAW_AHEAD pool threads draw the next steps while the caller's
-thread applies the current one.  The drawing runs in parallel, not the blocks, and output
-is identical for any worker count.
+thread applies the current one.  The drawing runs in parallel, not the
+blocks, and output is identical for any worker count.
 """
 
 from __future__ import annotations
