@@ -66,28 +66,26 @@ def _timed(fn):
     return wrapper
 
 
-# The ensembles are memoized per ``workers``, which changes no result; every
-# caller passes it positionally so that the criteria share one run.
 @lru_cache(maxsize=1)
-def _run_mc_ode_reference(workers):
+def _run_mc_ode_reference():
     cfg = proxysde.SdeConfig(eps=0.2, lambda2_max=4.0, n_steps=400,
-                             n_traj=100_000, seed=SEED, workers=workers)
+                             n_traj=100_000, seed=SEED)
     return proxysde.run_ensemble(cfg)
 
 
 @lru_cache(maxsize=1)
-def _run_deep_small_amplitude(workers):
+def _run_deep_small_amplitude():
     cfg = proxysde.SdeConfig(eps=0.1, lambda2_max=25.0, n_steps=2400,
                              n_traj=100_000, seed=SEED + 6, record_stride=4,
-                             snapshot_points=(25.0,), workers=workers)
+                             snapshot_points=(25.0,))
     return proxysde.run_ensemble(cfg)
 
 
 @lru_cache(maxsize=1)
-def _run_tail_ensemble(workers):
+def _run_tail_ensemble():
     cfg = proxysde.SdeConfig(eps=0.2, lambda2_max=25.0, n_steps=2400,
                              n_traj=100_000, seed=SEED + 7, record_stride=8,
-                             snapshot_points=(9.0, 16.0, 25.0), workers=workers)
+                             snapshot_points=(9.0, 16.0, 25.0))
     return proxysde.run_ensemble(cfg)
 
 
@@ -159,9 +157,9 @@ def criterion_2_covariance():
 
 
 @_timed
-def criterion_3_mc_vs_ode(workers=0):
+def criterion_3_mc_vs_ode():
     """Ensemble moments against the closed moment flow at eight checkpoints."""
-    res = _run_mc_ode_reference(workers)
+    res = _run_mc_ode_reference()
     s = res.series
     closure = momentodes.ClosureSource.from_series(s)
     table = momentodes.integrate_moments(0.2, 4.0, closure, x_eval=s.lambda2)
@@ -195,9 +193,9 @@ def criterion_4_exact_asymptotics():
 
 
 @_timed
-def criterion_5_fourth_moment(workers=0):
+def criterion_5_fourth_moment():
     """Fourth-moment flow against its envelope constant and limit curve."""
-    res = _run_deep_small_amplitude(workers)
+    res = _run_deep_small_amplitude()
     s = res.series
     closure = momentodes.ClosureSource.from_series(s)
     table = momentodes.integrate_moments(0.1, 25.0, closure, x_eval=s.lambda2)
@@ -212,9 +210,9 @@ def criterion_5_fourth_moment(workers=0):
 
 
 @_timed
-def criterion_6_det_concentration(workers=0):
+def criterion_6_det_concentration():
     """Determinant variance against the certified envelope width."""
-    res = _run_deep_small_amplitude(workers)
+    res = _run_deep_small_amplitude()
     row = res.series.at(25.0)
     var = row["det2"] - 2.0 * row["det"] + 1.0
     kappa_c = momentodes.envelope_constants(1.0)["kappa_c"]
@@ -223,9 +221,9 @@ def criterion_6_det_concentration(workers=0):
 
 
 @_timed
-def criterion_7_tail(workers=0):
+def criterion_7_tail():
     """Truncated second moment: smallness, trend, and the analytic chain."""
-    res = _run_tail_ensemble(workers)
+    res = _run_tail_ensemble()
     ratios = []
     for lam2 in (9.0, 16.0, 25.0):
         ratios.append(proxysde.truncated_second_moment(
@@ -275,7 +273,7 @@ def criterion_8_kolmogorov():
 
 
 @_timed
-def criterion_9_field_mode(workers=0):
+def criterion_9_field_mode():
     """Field-mode checks: calibration, local relations, point-mode match."""
     eps = float(np.sqrt(1.5 / np.log(32.0)))   # lam2 reaches 2.5 at l_max = 32
     cfg = fieldsim.FieldConfig(eps=eps, l_max=32.0, n=256, n_samples=24,
@@ -305,7 +303,7 @@ def criterion_9_field_mode(workers=0):
     n_steps = len(res.lambda2) - 1
     pcfg = proxysde.SdeConfig(eps=eps, lambda2_max=float(res.lambda2[-1]),
                               n_steps=n_steps, n_traj=100_000, seed=SEED + 5,
-                              record_stride=n_steps, workers=workers,
+                              record_stride=n_steps,
                               lambda2_weighting="midpoint-frozen")
     ps = proxysde.run_ensemble(pcfg).series
     fmean, fse = res.moments()
@@ -378,19 +376,11 @@ ALL_CRITERIA = (
 )
 
 
-#: the criteria that run proxy-SDE ensembles, and so take their ``workers``
-SDE_CRITERIA = (
-    criterion_3_mc_vs_ode, criterion_5_fourth_moment,
-    criterion_6_det_concentration, criterion_7_tail, criterion_9_field_mode,
-)
-
-
-def run_all(verbose: bool = True, workers: int = 0) -> list[CriterionResult]:
-    """Every criterion in order; ``workers`` goes to the proxy-SDE ensembles
-    (see :func:`proxysde.draw_threads`) and changes no result."""
+def run_all(verbose: bool = True) -> list[CriterionResult]:
+    """Every criterion in order."""
     results = []
     for fn in ALL_CRITERIA:
-        res = fn(workers) if fn in SDE_CRITERIA else fn()
+        res = fn()
         results.append(res)
         if verbose:
             print(res.line())

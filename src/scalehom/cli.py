@@ -6,8 +6,8 @@ validated before any work starts.  Each command is a row of ``COMMANDS``
 whose runner computes named outputs; ``dispatch`` writes each atomically
 (CSV with 17 significant digits, JSON, or a field snapshot) with a JSON
 sidecar carrying the config hash, versions, seed, and wall time.  Data files
-are byte-identical across runs with the same config and seed, for any worker
-count; wall time lives only in the sidecars.
+are byte-identical across runs with the same config and seed, on any number
+of CPUs; wall time lives only in the sidecars.
 
 Exit codes: 0 success, 1 argument/config validation failure, 2 numeric
 failure (non-convergence, non-finite states, failed acceptance criteria).
@@ -59,7 +59,6 @@ _POW2 = ("power of two", lambda v: v > 1 and v & (v - 1) == 0)
 SCHEMA = {
     "run": {
         "seed": ("11", int, _NONNEG),
-        "threads": ("0", int, _NONNEG),
         "out_dir": (".", str, None),
     },
     "sde": {
@@ -236,33 +235,33 @@ def _moment_header(lead: list[str]) -> list[str]:
         + [f"se_{n}" for n in proxysde.MOMENT_NAMES]
 
 
-# A runner takes its config section (None for commands without one), the
-# seed and the thread count, and returns (outputs, sidecar extras, passed):
+# A runner takes its config section (None for commands without one) and the
+# seed, and returns (outputs, sidecar extras, passed):
 # outputs map file names to a Csv, a Snapshot or a JSON payload.  A
 # snapshot's path is recorded in every sidecar of the run.
 
-def run_qv_check(sec, seed, threads):
+def run_qv_check(sec, seed):
     r1 = acceptance.criterion_1_algebra()
     r2 = acceptance.criterion_2_covariance()
     return {"qv_check.json": {r.name: r.payload() for r in (r1, r2)}}, {}, \
         r1.passed and r2.passed
 
 
-def run_sde(sec, seed, threads):
+def run_sde(sec, seed):
     run = proxysde.SdeConfig(
         eps=sec["eps"], lambda2_max=sec["lambda2_max"], n_steps=sec["n_steps"],
         n_traj=sec["n_traj"], seed=seed, mode=sec["mode"],
-        record_stride=sec["record_stride"], workers=threads,
+        record_stride=sec["record_stride"],
         snapshot_points=tuple(parse_list(sec["snapshot_points"])))
     s = proxysde.run_ensemble(run).series
     rows = [[s.lambda2[i], s.ln_l[i], *s.means[i], *s.ses[i]]
             for i in range(len(s.lambda2))]
     return {"sde_series.csv": Csv(_moment_header(["lambda2", "ln_l"]), rows)}, \
         {"n_traj": run.n_traj, "mode": run.mode,
-         "workers": proxysde.draw_threads(run.workers)}, True
+         "draw_threads": proxysde.draw_threads()}, True
 
 
-def run_ode(sec, seed, threads):
+def run_ode(sec, seed):
     xs = np.linspace(1.0, sec["x_end"], sec["n_points"])
     table = momentodes.integrate_moments(sec["eps"], sec["x_end"],
                                          momentodes.ClosureSource.bound(), x_eval=xs)
@@ -280,10 +279,10 @@ def run_ode(sec, seed, threads):
         {"envelope_constants": env.constants}, True
 
 
-def run_tail(sec, seed, threads):
+def run_tail(sec, seed):
     tcfg = kolmogorov.TailConfig(sec["tau"], sec["sigma_hat"], regime_margin=sec["margin"])
     ramp = kolmogorov.RampEvolution(tcfg.sigma_hat)
-    grid = tcfg.grid()[:: max(1, tcfg.n_sigma // 2000)]
+    grid = tcfg.grid()[:: max(1, kolmogorov.N_SIGMA // 2000)]
     slices = np.linspace(0.0, tcfg.tau, 5)
     header = ["sigma"] + [f"zeta_hat_tau_{tp:.6g}" for tp in slices]
     cols = [ramp.value(tcfg.tau - tp, grid) for tp in slices]
@@ -296,7 +295,7 @@ def run_tail(sec, seed, threads):
     return {"tail_profiles.csv": Csv(header, rows), "tail_summary.json": summary}, {}, True
 
 
-def run_field(sec, seed, threads):
+def run_field(sec, seed):
     fcfg = fieldsim.FieldConfig(eps=sec["eps"], l_max=sec["l_max"], n=sec["n"],
                                 box_mult=sec["box_mult"],
                                 n_samples=sec["n_samples"], seed=seed)
@@ -313,7 +312,7 @@ def run_field(sec, seed, threads):
     return outputs, extra, True
 
 
-def run_corrector(sec, seed, threads):
+def run_corrector(sec, seed):
     run = corrector.run_corrector_ensemble(
         sec["eps"], sec["l_max"], sec["n"], sec["n_samples"], seed=seed,
         box_mult=sec["box_mult"], tol=sec["tol"])
@@ -326,7 +325,7 @@ def run_corrector(sec, seed, threads):
         {"lambda_mean": run.lambda_mean, "lambda_se": run.lambda_se}, True
 
 
-def run_particle(sec, seed, threads):
+def run_particle(sec, seed):
     ls, ns = parse_list(sec["l_list"]), parse_list(sec["n_list"], int)
     times = particle.default_sample_times(sec["dt"], sec["t_end"])
     outputs, estimates = {}, []
@@ -346,14 +345,14 @@ def run_particle(sec, seed, threads):
     return outputs, {}, True
 
 
-def run_accept(sec, seed, threads):
+def run_accept(sec, seed):
     if seed != acceptance.SEED:
         raise ConfigError(f"accept runs at the fixed seed {acceptance.SEED} "
                           f"(acceptance.SEED), not {seed}")
-    results = acceptance.run_all(verbose=True, workers=threads)
+    results = acceptance.run_all(verbose=True)
     payload = {r.name: r.payload() for r in results}
-    payload["all_pass"] = all(r.passed for r in results)
-    return {"accept.json": payload}, {}, payload["all_pass"]
+    payload["all_pass"] = passed = all(r.passed for r in results)
+    return {"accept.json": payload}, {"draw_threads": proxysde.draw_threads()}, passed
 
 
 #: one CLI command: its config section (or None), its runner, and the
@@ -376,8 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", required=True,
                         help="config file path, or 'default'")
     common.add_argument("--out", dest="out_dir", help="override [run] out_dir")
-    for key in ("seed", "threads"):
-        common.add_argument(f"--{key}", help=f"override [run] {key}")
+    common.add_argument("--seed", help="override [run] seed")
     parser = argparse.ArgumentParser(
         prog="scalehom", description="scale-by-scale homogenization laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -407,12 +405,12 @@ def dispatch(argv: list[str]) -> int:
     cmd = COMMANDS[args.command]
     try:
         cfg = RunConfig.load(args.config)
-        run = _override(cfg, "run", ("seed", "threads", "out_dir"), args)
+        run = _override(cfg, "run", ("seed", "out_dir"), args)
         sec = _override(cfg, cmd.section, cmd.flags, args) if cmd.section else None
         out = Path(run["out_dir"])
         out.mkdir(parents=True, exist_ok=True)
         t0 = time.perf_counter()
-        outputs, extra, passed = cmd.run(sec, run["seed"], run["threads"])
+        outputs, extra, passed = cmd.run(sec, run["seed"])
         for name, data in outputs.items():
             path = out / name
             if isinstance(data, Csv):

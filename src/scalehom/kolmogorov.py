@@ -74,29 +74,29 @@ def smoothstep_d2(t: np.ndarray) -> np.ndarray:
     return out
 
 
+#: points of the log-threshold grid, and how many kernel standard deviations
+#: sqrt(tau/2) it reaches past the drift tau/4 on each side
+N_SIGMA = 4001
+SPAN_STD = 10.0
+
+
 @dataclass(frozen=True)
 class TailConfig:
     """Terminal time ``tau = ln lam2``, truncation location ``sigma_hat =
-    ln rhat``, and grid controls for the profile machinery."""
+    ln rhat``, and the margin of the smallness regime."""
 
     tau: float
     sigma_hat: float
-    n_sigma: int = 4001
-    span_std: float = 10.0
     regime_margin: float = 0.5
 
     def __post_init__(self):
         if self.tau <= 0.0:
             raise ValueError("tau must be positive")
-        if self.n_sigma < 1000:
-            raise ValueError("need at least 1e3 grid points")
-        if self.span_std < 10.0:
-            raise ValueError("grid must span >= 10 kernel standard deviations")
 
     def grid(self) -> np.ndarray:
-        reach = self.tau / 4.0 + self.span_std * np.sqrt(self.tau / 2.0)
+        reach = self.tau / 4.0 + SPAN_STD * np.sqrt(self.tau / 2.0)
         return np.linspace(self.sigma_hat - reach - 2.0,
-                           self.sigma_hat + reach + 3.0, self.n_sigma)
+                           self.sigma_hat + reach + 3.0, N_SIGMA)
 
 
 @dataclass

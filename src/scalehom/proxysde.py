@@ -30,10 +30,10 @@ F10, F11) of any batch shape; the field mode uses it too.
 
 Trajectories run in fixed-size blocks, in order, and block results are
 reduced in block order.  Each (block, step) draws its normals from its own
-counter-based stream keyed by (seed, block, step); with more than one
-worker, up to DRAW_AHEAD pool threads draw the next steps while the caller's
-thread applies the current one.  The drawing runs in parallel, not the
-blocks, and output is identical for any worker count.
+counter-based stream keyed by (seed, block, step); :func:`draw_threads` pool
+threads draw the next steps while the caller's thread applies the current
+one.  The drawing runs in parallel, not the blocks, and output is identical
+for any number of draw threads.
 """
 
 from __future__ import annotations
@@ -58,12 +58,17 @@ MOMENT_NAMES = (
 #: steps drawn ahead of the one being applied; the ring holds one more, and
 #: no more threads than this draw
 DRAW_AHEAD = 2
+#: trajectories per block; the block index keys the stream of its normals,
+#: so this value is part of the stream layout
+BLOCK_SIZE = 16384
 
 
-def draw_threads(workers: int) -> int:
-    """Threads that draw normals at a ``workers`` setting: 0 means every core,
-    and the count is capped at DRAW_AHEAD; 1 draws inline, starting none."""
-    return min(workers or os.cpu_count() or 1, DRAW_AHEAD)
+def draw_threads() -> int:
+    """Threads that draw normals: the CPUs this process may run on (one under
+    ``taskset -c 0``), capped at DRAW_AHEAD; 1 draws inline, starting none."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
+        else range(os.cpu_count() or 1)
+    return min(len(cpus), DRAW_AHEAD)
 
 
 @dataclass(frozen=True)
@@ -73,9 +78,8 @@ class SdeConfig:
     ``mode='exp'`` drops the Hessian-driven term.  ``snapshot_points`` lists
     lam2 values (matched to the nearest grid point) at which per-trajectory
     samples of |F|^2 and det F are retained.  ``record_stride`` thins the
-    grid points at which moments are accumulated.  ``workers`` is the number
-    of threads drawing normals, capped at DRAW_AHEAD (0: every core up to
-    that cap, 1: drawn inline, no thread); see :func:`draw_threads`.
+    grid points at which moments are accumulated.  Trajectories run in
+    blocks of BLOCK_SIZE, and :func:`draw_threads` threads draw their normals.
     """
 
     eps: float
@@ -84,8 +88,6 @@ class SdeConfig:
     n_traj: int
     seed: int = 0
     mode: str = "full"
-    block_size: int = 16384
-    workers: int = 0
     snapshot_points: tuple = ()
     record_stride: int = 1
     lambda2_weighting: str = "exact"
@@ -101,8 +103,6 @@ class SdeConfig:
             raise ValueError(f"unknown weighting {self.lambda2_weighting!r}")
         if self.eps < 0.0:
             raise ValueError("eps must be nonnegative")
-        if self.workers < 0:
-            raise ValueError("workers must be nonnegative (0 means every core)")
 
     def grid(self) -> np.ndarray:
         """Uniform scale grid 1 = lam2_0 < ... < lam2_n = lambda2_max."""
@@ -267,12 +267,6 @@ def _initial_planes(*shape: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((2, *shape)), f
 
 
-def _draw_pool(workers: int):
-    """The draw threads of a ``workers`` setting, or None: one draws inline."""
-    n = draw_threads(workers)
-    return ThreadPoolExecutor(n) if n > 1 else nullcontext()
-
-
 def _normals(pool, seed: int, label: str, block: int, n_steps: int, n_rows: int):
     """Each step's ``(n_rows, 12)`` standard normals, step ``i`` from
     ``stream(seed, label, block, counter=i)``.  With a pool, its threads draw
@@ -331,7 +325,7 @@ def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_bl
         g = int(rec_idx[bad_rows[0]])
         final = np.concatenate([phi, f.reshape(4, -1), moment_planes(phi, f, buf)])
         bad = np.flatnonzero(~np.isfinite(final).all(axis=0))
-        who = (f"first bad trajectory {block * cfg.block_size + bad[0]}" if bad.size
+        who = (f"first bad trajectory {block * BLOCK_SIZE + bad[0]}" if bad.size
                else "final state finite")
         raise FloatingPointError(
             f"non-finite trajectory in block {block}: {who}, moment sums first "
@@ -342,7 +336,7 @@ def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_bl
 def run_ensemble(cfg: SdeConfig) -> EnsembleResult:
     """Evolve ``cfg.n_traj`` independent trajectories and reduce their moments.
 
-    Deterministic for a given seed regardless of ``workers``; standard errors
+    Deterministic for a given seed, whatever the draw threads; standard errors
     are plain per-quantity sample errors of the mean.
     """
     x, factors, damps = _prepare_steps(cfg)
@@ -352,8 +346,9 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleResult:
     sums = np.zeros((len(rec_idx), 9))
     sumsq = np.zeros((len(rec_idx), 9))
     snap_parts: dict[int, list] = {g: [] for g in snap_idx}
-    with _draw_pool(cfg.workers) as pool:
-        for b, n_block in enumerate(_blocks(cfg.n_traj, cfg.block_size)):
+    n_draw = draw_threads()
+    with ThreadPoolExecutor(n_draw) if n_draw > 1 else nullcontext() as pool:
+        for b, n_block in enumerate(_blocks(cfg.n_traj, BLOCK_SIZE)):
             s, sq, snaps = _run_block(cfg, x, factors, damps, rec_idx, snap_idx, b,
                                       n_block, pool)
             sums += s

@@ -88,7 +88,7 @@ def test_intermittency_peak_bulk_separation():
     # normalized |F|^2 develops a bulk well below its mean: the median-to-mean
     # ratio decreases across scales (frozen Monte Carlo oracle values:
     # 0.79, 0.69, 0.61, 0.56 at lam2 = 4, 9, 16, 25 for eps = 0.2)
-    res = acceptance._run_tail_ensemble(0)   # criterion 7's cached run
+    res = acceptance._run_tail_ensemble()   # criterion 7's cached run
     medians = []
     for lam2 in (9.0, 16.0, 25.0):
         f2 = res.snapshots[lam2]["f2"]

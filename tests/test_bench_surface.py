@@ -47,14 +47,15 @@ def test_tracer_skips_no_name():
     assert proxysde.run_ensemble is original
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_traced_draws_count_twelve_normals_per_step(workers):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_traced_draws_count_twelve_normals_per_step(monkeypatch, threads):
     # the draw hands its size to standard_normal; a draw into a buffer
     # without one would be counted as a single normal
     tracing = load_tracing()
     tracer, patches = tracing.Tracer(), tracing.Patches()
-    cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.5, n_steps=6, n_traj=300,
-                             block_size=128, workers=workers)
+    monkeypatch.setattr(proxysde, "BLOCK_SIZE", 128)
+    monkeypatch.setattr(proxysde, "draw_threads", lambda: threads)
+    cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.5, n_steps=6, n_traj=300)
     try:
         tracing.install(tracer, patches)
         proxysde.run_ensemble(cfg)

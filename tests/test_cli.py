@@ -1,6 +1,10 @@
 """Config validation, dispatch, atomic outputs, and reproducibility."""
 
+import ast
+import inspect
 import json
+import os
+import textwrap
 
 import numpy as np
 import pytest
@@ -63,7 +67,7 @@ class TestRunConfig:
         # DEFAULT_CONFIG is rendered from SCHEMA; its parsed content, and so
         # every sidecar's config_sha256 at --config default, is pinned
         assert cli.RunConfig.parse(cli.DEFAULT_CONFIG).sha256() == \
-            "0fd8f2376c50d2c8ef67135c51f3e22fa16ca19f2faee1164f91e09dc6ab07ff"
+            "b22714d5fd8ac33033638a48dbc16d20c59207797b3a8e130eb8a95dcdeecbf9"
 
     @pytest.mark.parametrize("section, values, key", [
         ("sde", {"snapshot_points": "x"}, "snapshot_points"),
@@ -103,7 +107,7 @@ class TestDispatch:
         assert cli.dispatch(["sde-run", "--config", "/nonexistent.cfg"]) == 1
 
     @pytest.mark.parametrize("argv, key", [
-        (["sde-run", "--threads", "-1"], "threads"),
+        (["tail-check", "--sigma-hat", "x"], "sigma_hat"),
         (["sde-run", "--seed", "-1"], "seed"),
         (["sde-run", "--seed", "x"], "seed"),
         (["tail-check", "--tau", "-1"], "tau"),
@@ -122,6 +126,22 @@ class TestDispatch:
         argv = ["sde-run", "--config", str(small_config(tmp_path)), flag, "4",
                 "--out", str(out)]
         assert cli.dispatch(argv) == 1
+        assert not out.exists()
+
+    def test_threads_flag_rejected(self, tmp_path):
+        # the draw-thread count is worked out, not set
+        out = tmp_path / "out"
+        argv = ["sde-run", "--config", str(small_config(tmp_path)), "--threads", "2",
+                "--out", str(out)]
+        assert cli.dispatch(argv) == 1
+        assert not out.exists()
+
+    def test_threads_key_rejected(self, tmp_path, capsys):
+        path = small_config(tmp_path)
+        path.write_text(path.read_text().replace("[run]\n", "[run]\nthreads = 1\n"))
+        out = tmp_path / "out"
+        assert cli.dispatch(["sde-run", "--config", str(path), "--out", str(out)]) == 1
+        assert "unknown key 'threads' in section [run]" in capsys.readouterr().err
         assert not out.exists()
 
     def test_numeric_failure_exit_code(self, tmp_path):
@@ -145,16 +165,18 @@ class TestSdeRun:
         meta = json.loads((out / "sde_series.csv.meta.json").read_text())
         assert meta["seed"] == 11 and "config_sha256" in meta
         assert "wall_time_s" in meta
-        # [run] threads = 0 by default: every core, recorded as the threads
-        # that drew
-        assert meta["workers"] == proxysde.draw_threads(0) >= 1
+        assert meta["draw_threads"] == proxysde.draw_threads() >= 1
 
-    @pytest.mark.parametrize("threads, drew", [("1", 1), ("3", proxysde.DRAW_AHEAD)])
-    def test_sidecar_records_threads_that_drew(self, tmp_path, threads, drew):
+    @pytest.mark.parametrize("cpus, drew", [(1, 1), (3, proxysde.DRAW_AHEAD)])
+    def test_sidecar_records_threads_that_drew(self, tmp_path, monkeypatch, cpus, drew):
+        # as many as the CPUs the process may run on, capped at DRAW_AHEAD
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
         out = tmp_path / "out"
         assert cli.dispatch(["sde-run", "--config", str(small_config(tmp_path)),
-                             "--out", str(out), "--threads", threads]) == 0
-        assert json.loads((out / "sde_series.csv.meta.json").read_text())["workers"] == drew
+                             "--out", str(out)]) == 0
+        meta = json.loads((out / "sde_series.csv.meta.json").read_text())
+        assert meta["draw_threads"] == drew and "workers" not in meta
 
     def test_csv_columns_equal_run_ensemble(self, tmp_path):
         # 17 significant digits round-trip: every column reads back as the
@@ -175,13 +197,13 @@ class TestSdeRun:
             assert np.array_equal(data[f"E_{name}"], s.column(name)), name
             assert np.array_equal(data[f"se_{name}"], s.se(name)), name
 
-    def test_byte_identical_across_runs_and_threads(self, tmp_path):
+    def test_byte_identical_across_runs_and_threads(self, tmp_path, monkeypatch):
         path = small_config(tmp_path)
         outs = []
-        for name, threads in (("a", "1"), ("b", "4"), ("c", "1"), ("d", "0"), ("e", "2")):
+        for name, threads in (("a", 1), ("b", proxysde.DRAW_AHEAD), ("c", 1), ("d", 2)):
+            monkeypatch.setattr(proxysde, "draw_threads", lambda n=threads: n)
             out = tmp_path / name
-            code = cli.dispatch(["sde-run", "--config", str(path),
-                                 "--out", str(out), "--threads", threads])
+            code = cli.dispatch(["sde-run", "--config", str(path), "--out", str(out)])
             assert code == 0
             outs.append((out / "sde_series.csv").read_bytes())
         assert all(o == outs[0] for o in outs[1:])
@@ -282,7 +304,7 @@ class TestOtherCommands:
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_every_command_writes_sidecars(tmp_path, monkeypatch, capsys, command):
-    monkeypatch.setattr(cli.acceptance, "run_all", lambda verbose=True, workers=0: [])
+    monkeypatch.setattr(cli.acceptance, "run_all", lambda verbose=True: [])
     path = small_config(tmp_path, field={"box_mult": 2.0, "save_snapshot": "true"},
                         particle={"l_list": "4, 8", "n_list": "64, 64"})
     out = tmp_path / "out"
@@ -305,8 +327,7 @@ class TestAccept:
     def gate_calls(self, monkeypatch):
         calls = []
         monkeypatch.setattr(cli.acceptance, "run_all",
-                            lambda verbose=True, workers=0:
-                            calls.append((verbose, workers)) or [])
+                            lambda verbose=True: calls.append(verbose) or [])
         return calls
 
     def test_sidecar_records_the_seed_used(self, tmp_path, gate_calls):
@@ -314,13 +335,8 @@ class TestAccept:
         assert cli.dispatch(["accept", "--config", "default", "--out", str(out)]) == 0
         meta = json.loads((out / "accept.json.meta.json").read_text())
         assert meta["seed"] == cli.acceptance.SEED == 11
-        assert gate_calls == [(True, 0)]
-
-    def test_threads_flag_reaches_the_gate(self, tmp_path, gate_calls):
-        out = tmp_path / "acc"
-        assert cli.dispatch(["accept", "--config", "default", "--out", str(out),
-                             "--threads", "1"]) == 0
-        assert gate_calls == [(True, 1)]
+        assert meta["draw_threads"] == proxysde.draw_threads()
+        assert gate_calls == [True]
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     def test_other_seed_is_refused(self, tmp_path, gate_calls, capsys, how):
@@ -332,3 +348,23 @@ class TestAccept:
         assert cli.dispatch(["accept", *argv, "--out", str(out)]) == 1
         assert "fixed seed 11" in capsys.readouterr().err
         assert gate_calls == [] and not (out / "accept.json").exists()
+
+
+def _keys_read(fn, name: str) -> set:
+    """The constant keys ``fn`` reads as ``name["key"]``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    return {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id == name and isinstance(node.slice, ast.Constant)}
+
+
+def test_every_config_key_is_read():
+    # no key is parsed and then ignored: each command's runner reads every
+    # key of its section, dispatch reads every [run] key, and every other
+    # section belongs to a command
+    for cmd in cli.COMMANDS.values():
+        if cmd.section is not None:
+            assert _keys_read(cmd.run, "sec") == set(cli.SCHEMA[cmd.section]), cmd.name
+    assert _keys_read(cli.dispatch, "run") == set(cli.SCHEMA["run"])
+    sections = {cmd.section for cmd in cli.COMMANDS.values()} - {None}
+    assert sections == set(cli.SCHEMA) - {"run"}

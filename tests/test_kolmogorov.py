@@ -42,10 +42,6 @@ class TestTerminalData:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ko.TailConfig(tau=-1.0, sigma_hat=0.0)
-        with pytest.raises(ValueError):
-            ko.TailConfig(tau=1.0, sigma_hat=0.0, n_sigma=100)
-        with pytest.raises(ValueError):
-            ko.TailConfig(tau=1.0, sigma_hat=0.0, span_std=3.0)
 
 
 class TestEvolve:

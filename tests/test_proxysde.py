@@ -80,16 +80,19 @@ class TestEnsemble:
         s = proxysde.run_ensemble(cfg).series
         assert np.array_equal(s.means[0], [0, 0, 2, 4, 1, 1, 0, 0, 0])
 
-    def test_determinism_across_worker_counts(self):
+    def test_determinism_across_worker_counts(self, monkeypatch):
         # 20,000 = 4 blocks of 4096 and a short last one of 3616
-        base = dict(eps=0.3, lambda2_max=2.0, n_steps=40, n_traj=20_000, seed=3,
-                    block_size=4096, snapshot_points=(1.5, 2.0))
+        monkeypatch.setattr(proxysde, "BLOCK_SIZE", 4096)
+        cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=2.0, n_steps=40, n_traj=20_000,
+                                 seed=3, snapshot_points=(1.5, 2.0))
         threads = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)     # a ring slot reused too early shows
+        results = []
         try:
-            results = [proxysde.run_ensemble(proxysde.SdeConfig(workers=w, **base))
-                       for w in (1, 0, 2, 16)]
+            for n in (1, 2, proxysde.DRAW_AHEAD):
+                monkeypatch.setattr(proxysde, "draw_threads", lambda n=n: n)
+                results.append(proxysde.run_ensemble(cfg))
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == threads
@@ -101,14 +104,17 @@ class TestEnsemble:
                 for key in ("f2", "det"):
                     assert np.array_equal(ref.snapshots[pt][key], other.snapshots[pt][key])
 
-    def test_workers_zero_means_every_core_up_to_the_cap(self):
-        cap = proxysde.DRAW_AHEAD
-        assert proxysde.draw_threads(0) == min(os.cpu_count() or 1, cap)
-        assert proxysde.draw_threads(1) == 1
-        assert proxysde.draw_threads(cap + 1) == cap
-        assert proxysde.SdeConfig(eps=0.2, lambda2_max=2.0, n_steps=1, n_traj=1).workers == 0
-        with pytest.raises(ValueError, match="workers"):
-            proxysde.SdeConfig(eps=0.2, lambda2_max=2.0, n_steps=1, n_traj=1, workers=-3)
+    def test_draw_threads_follow_the_affinity_mask(self, monkeypatch):
+        # the CPUs this process may run on, capped at DRAW_AHEAD; the CPU
+        # count stands in only where there is no affinity mask
+        for cpus, drew in (({0}, 1), (set(range(8)), proxysde.DRAW_AHEAD)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c,
+                                raising=False)
+            assert proxysde.draw_threads() == drew
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus, drew in ((1, 1), (8, proxysde.DRAW_AHEAD)):
+            monkeypatch.setattr(os, "cpu_count", lambda c=cpus: c)
+            assert proxysde.draw_threads() == drew
 
     def test_martingale_property_of_determinant(self):
         cfg = proxysde.SdeConfig(eps=0.25, lambda2_max=3.0, n_steps=150,
@@ -235,11 +241,12 @@ class TestKernels:
         for row, (got, want) in enumerate(zip(m, expect)):
             np.testing.assert_allclose(got, want, rtol=1e-13, err_msg=str(row))
 
-    def test_ensemble_row_pinned(self):
+    def test_ensemble_row_pinned(self, monkeypatch):
         # the final row of a small seeded run; a change of the random stream,
         # of the update or of the moment formulas moves it beyond 1e-12
+        monkeypatch.setattr(proxysde, "BLOCK_SIZE", 1024)
         cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=2.0, n_steps=20, n_traj=3000,
-                                 seed=12, block_size=1024)
+                                 seed=12)
         s = proxysde.run_ensemble(cfg).series
         np.testing.assert_allclose(s.means[-1], PINNED_MEANS, rtol=1e-12)
         np.testing.assert_allclose(s.ses[-1], PINNED_SES, rtol=1e-12)
@@ -264,8 +271,9 @@ class TestNonFiniteReport:
             return x, factors, damps * 1e200
 
         monkeypatch.setattr(proxysde, "_prepare_steps", inflated)
+        monkeypatch.setattr(proxysde, "BLOCK_SIZE", 64)
         cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.5, n_steps=8, n_traj=200,
-                                 seed=1, mode="exp", block_size=64)
+                                 seed=1, mode="exp")
         x = cfg.grid()
         with pytest.raises(FloatingPointError,
                            match=rf"block 0: first bad trajectory 0, moment sums first "
@@ -289,8 +297,9 @@ class TestNonFiniteReport:
             return Poisoned(gen) if (block, counter) == (1, 4) else gen
 
         monkeypatch.setattr(proxysde, "stream", stream)
+        monkeypatch.setattr(proxysde, "BLOCK_SIZE", 64)
         cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.5, n_steps=8, n_traj=200,
-                                 seed=1, block_size=64)
+                                 seed=1)
         x = cfg.grid()
         with pytest.raises(FloatingPointError,
                            match=rf"block 1: first bad trajectory 101, moment sums first "
@@ -315,11 +324,12 @@ class TestNonFiniteReport:
             return Poisoned()
 
         monkeypatch.setattr(proxysde, "stream", stream)
+        monkeypatch.setattr(proxysde, "BLOCK_SIZE", 64)
+        cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.5, n_steps=8, n_traj=200, seed=1)
         threads = threading.active_count()
         messages = []
-        for workers in (1, 2):
-            cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.5, n_steps=8, n_traj=200,
-                                     seed=1, block_size=64, workers=workers)
+        for n in (1, 2):
+            monkeypatch.setattr(proxysde, "draw_threads", lambda n=n: n)
             with pytest.raises(FloatingPointError) as info:
                 proxysde.run_ensemble(cfg)
             assert threading.active_count() == threads
