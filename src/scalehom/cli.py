@@ -306,7 +306,7 @@ def run_field(sec, seed):
     outputs = {"field_moments.csv": Csv(_moment_header(["lambda2"]), rows)}
     qv = fieldsim.empirical_qv(res)
     extra = {"qv_accumulated": qv.accumulated_dpsi, "qv_expected": qv.expected_dpsi,
-             "qv_ok": qv.ok()}
+             "qv_ok": qv.ok(), "draw_threads": proxysde.draw_threads()}
     if keep:
         outputs["field_state.bin"] = Snapshot(res.final_state, fcfg.grid().box_len)
     return outputs, extra, True
@@ -322,7 +322,8 @@ def run_corrector(sec, seed):
              st.mean_f2, st.mean_abs_det, st.mean_det]
             + [st.truncated[r] for r in corrector.R_SCHEDULE] for st in run.stats]
     return {"corrector.csv": Csv(header, rows)}, \
-        {"lambda_mean": run.lambda_mean, "lambda_se": run.lambda_se}, True
+        {"lambda_mean": run.lambda_mean, "lambda_se": run.lambda_se,
+         "draw_threads": proxysde.draw_threads()}, True
 
 
 def run_particle(sec, seed):
@@ -342,7 +343,7 @@ def run_particle(sec, seed):
                                                      min(ls))
         summary = {"growth_ratio": ratio, "ratio_se": se, "compare_time": t_cmp}
     outputs["particle_summary.json"] = summary
-    return outputs, {}, True
+    return outputs, {"draw_threads": proxysde.draw_threads()}, True
 
 
 def run_accept(sec, seed):

@@ -22,6 +22,11 @@ diffusivity ``lambda = 1 + mean |grad phi|^2``, the flux representation
 ``F = id + (grad phi^1; grad phi^2)`` follow; the identity
 ``mean |F|^2 = 2 lambda`` and the unit spatial mean of ``det F`` (a null
 Lagrangian, exact on the torus) are the built-in cross-checks.
+
+An ensemble runs its samples in order, each from its own counter-based
+stream, and solves the two directions of a sample concurrently on
+:func:`proxysde.draw_threads` threads; the results are the same for any
+thread count.
 """
 
 from __future__ import annotations
@@ -34,6 +39,8 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 
 from . import tensor2d
 from .fieldsim import TorusGrid, sample_shell_field
+from .proxysde import _map_units
+from .rng import stream
 
 #: derivative orders (a, b) of d_x^a d_y^b that make a gradient
 GRAD = ((1, 0), (0, 1))
@@ -247,14 +254,15 @@ class CorrectorRun:
 def run_corrector_ensemble(eps: float, l_max: float, n: int, n_samples: int,
                            seed: int = 0, box_mult: float = 4.0,
                            tol: float = 1e-10) -> CorrectorRun:
-    from .rng import stream
     grid = TorusGrid.for_cutoff(l_max, n, box_mult)
     lambdas = np.empty(n_samples)
     stats = []
     for s in range(n_samples):
         coef = sample_stream_function(grid, eps, l_max, stream(seed, "corrector", s))
-        sols = [solve_corrector(coef, xi, tol=tol) for xi in (np.array([1.0, 0.0]),
-                                                              np.array([0.0, 1.0]))]
+        coef.psi        # filled before the two solves share the sample
+        sols = _map_units(lambda xi: solve_corrector(coef, xi, tol=tol),
+                          ((1.0, 0.0), (0.0, 1.0)),
+                          f"corrector sample {s}, direction {{}}")
         st = jacobian_stats(sols[0], sols[1])
         lambdas[s] = st.lambda_avg
         stats.append(st)

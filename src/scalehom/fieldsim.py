@@ -14,8 +14,9 @@ the scale variable lam2; each shell uses the log-midpoint scale in its
 multipliers, which removes the leading finite-shell-width bias from the
 quadratic-variation estimates.  Spectra are real-FFT half spectra, and
 ``TorusGrid.derivatives`` serves this module, the corrector and the particle
-drift.  FFT work is pure; every sample owns a counter-based stream, so runs
-are reproducible for any scheduling.
+drift.  FFT work is pure and every sample owns a counter-based stream, so
+the samples of an ensemble run on :func:`proxysde.draw_threads` threads, each
+writing only its own rows, and the results are the same for any thread count.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .proxysde import _initial_planes, euler_update, increment_planes, moment_planes
+from .proxysde import _initial_planes, _map_units, euler_update, increment_planes, \
+    moment_planes
 from .rng import stream
 
 _MAGIC = b"SHOM"
@@ -68,7 +70,7 @@ class TorusGrid:
 
     def derivatives(self, coeffs: np.ndarray, orders) -> np.ndarray:
         """Fields d_x^a d_y^b f for (a, b) in ``orders``, stacked, from the half
-        spectrum ``coeffs`` of f (one, or one per order), in one irfft2.
+        spectrum ``coeffs`` of f (one, or one per order), in one batched irfft2.
 
         Each multiplier (i kx)^a (i ky)^b acts by its Hermitian part, as the
         real part of an fft2 derivative does: irfft2 takes it on the first and
@@ -82,7 +84,10 @@ class TorusGrid:
             out[j] *= _I_POW[(a + b) % 4] * ky ** b
             if a % 2:
                 out[j, self.n // 2, 1:-1] = 0.0
-        return self.synthesize(out)
+        # irfft2's two passes, the first in place on the scratch spectra: the
+        # same values without one more complex array of their size
+        np.fft.ifft(out, axis=-2, out=out)
+        return np.fft.irfft(out, n=self.n, axis=-1)
 
     @classmethod
     def for_cutoff(cls, l_max: float, n: int, box_mult: float = 4.0) -> "TorusGrid":
@@ -122,11 +127,14 @@ def sample_shell_field(grid: TorusGrid, l_lo: float, l_hi: float, eps: float,
             f"no lattice modes in shell annulus ({1.0 / l_hi:.4g}, {1.0 / l_lo:.4g}] "
             f"with mode spacing {2.0 * np.pi / grid.box_len:.4g}")
     inv_k2 = np.where(mask, 1.0 / np.where(mask, k2, 1.0), 0.0)
+    del k2, mask
     # interior columns of the half spectrum stand for themselves and their mirrors
     lattice = 2.0 * inv_k2.sum() - inv_k2[:, 0].sum() - inv_k2[:, -1].sum()
     calib = eps ** 2 * np.log(l_hi / l_lo) * grid.n ** 2 / lattice
-    amp = np.sqrt(calib * inv_k2)
-    coeffs = np.fft.rfft2(rng.standard_normal((grid.n, grid.n))) * amp
+    inv_k2 *= calib
+    amp = np.sqrt(inv_k2, out=inv_k2)
+    coeffs = np.fft.rfft2(rng.standard_normal((grid.n, grid.n)))
+    coeffs *= amp
     return ShellField(grid, coeffs)
 
 
@@ -173,11 +181,20 @@ class FieldState:
         return cls(*_initial_planes(grid.n, grid.n), 1.0)
 
 
+#: grid rows per call of the Euler kernel in field mode, so that its ~50
+#: elementwise passes run over planes that stay in cache
+_ROW_BLOCK = 32
+
+
 def step_fields(state: FieldState, drv: DriverFields) -> FieldState:
     """Pointwise Euler update: :func:`proxysde.euler_update` on the grid planes
-    in raw variables (no damping), on copies of the state."""
+    in raw variables (no damping), on copies of the state, in blocks of
+    ``_ROW_BLOCK`` rows."""
     phi, f = state.phi.copy(), state.f.copy()
-    euler_update(phi, f, increment_planes(drv.dphi, drv.grad, drv.hess))
+    inc = increment_planes(drv.dphi, drv.grad, drv.hess)
+    for r in range(0, phi.shape[1], _ROW_BLOCK):
+        rows = slice(r, r + _ROW_BLOCK)
+        euler_update(phi[:, rows], f[:, :, rows], [p[rows] for p in inc])
     if not np.all(np.isfinite(f)):
         loc = [int(v) for v in np.argwhere(~np.isfinite(f))[0]]
         raise FloatingPointError(
@@ -238,10 +255,9 @@ def run_field_ensemble(cfg: FieldConfig, keep_final: bool = False) -> FieldRunRe
     qv_dpsi = np.empty((cfg.n_samples, n_shells))
     qv_grad = np.empty((cfg.n_samples, n_shells))
     qv_hess = np.empty((cfg.n_samples, n_shells))
-    final_state = None
-    buf = np.empty((9, cfg.n * cfg.n))
 
-    for s in range(cfg.n_samples):
+    def run_sample(s):
+        buf = np.empty((9, cfg.n * cfg.n))
         state = FieldState.initial(grid)
         moment_samples[s, 0] = _spatial_moments(state, cfg.eps, buf)
         for j in range(n_shells):
@@ -254,8 +270,9 @@ def run_field_ensemble(cfg: FieldConfig, keep_final: bool = False) -> FieldRunRe
             state = step_fields(state, drv)
             state.lambda2 = lam2_pts[j + 1]
             moment_samples[s, j + 1] = _spatial_moments(state, cfg.eps, buf)
-        if keep_final and s == 0:
-            final_state = state
+        return state if keep_final and s == 0 else None
+
+    final_state = _map_units(run_sample, range(cfg.n_samples), "field sample {}")[0]
     return FieldRunResult(cfg, lam2_pts, moment_samples, qv_dpsi, qv_grad,
                           qv_hess, l_mids, final_state)
 

@@ -11,18 +11,25 @@ Quantitative superdiffusive rates are out of numerical reach at small
 amplitude; the module targets the property-level checks: the drift-free
 slope, monotone enhancement, and growth of the enhancement with the
 infrared range.
+
+The environments of an annealed average are independent units with their own
+counter-based streams: they run on :func:`proxysde.draw_threads` threads,
+each writing its own row, so the result is the same for any thread count.
+Builds take turns, since a build's transients set the peak memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count, islice
+from threading import Lock
 from typing import Iterator
 
 import numpy as np
 
 from .corrector import CoefField, sample_stream_function
 from .fieldsim import TorusGrid
+from .proxysde import _map_units
 from .rng import stream
 
 
@@ -55,13 +62,16 @@ class DriftField:
         i0 %= n
         i1 = (i0 + 1) % n
         fx, fy = frac[:, 0], frac[:, 1]
+        gx, gy = 1 - fx, 1 - fy
+        # weights and flat indices row * n + col of the four corners, shared
+        # by both components
+        w00, w10, w01, w11 = gx * gy, fx * gy, gx * fy, fx * fy
+        r0, r1, c0, c1 = i0[:, 0] * n, i1[:, 0] * n, i0[:, 1], i1[:, 1]
+        k00, k10, k01, k11 = r0 + c0, r1 + c0, r0 + c1, r1 + c1
         out = np.empty_like(pos)
-        for c in range(2):
-            bc = self.b[c]
-            out[:, c] = ((1 - fx) * (1 - fy) * bc[i0[:, 0], i0[:, 1]]
-                         + fx * (1 - fy) * bc[i1[:, 0], i0[:, 1]]
-                         + (1 - fx) * fy * bc[i0[:, 0], i1[:, 1]]
-                         + fx * fy * bc[i1[:, 0], i1[:, 1]])
+        for c, bc in enumerate(self.b.reshape(2, -1)):
+            out[:, c] = (w00 * bc.take(k00) + w10 * bc.take(k10)
+                         + w01 * bc.take(k01) + w11 * bc.take(k11))
         return out
 
 
@@ -202,13 +212,19 @@ def annealed_msd(eps: float, l_max: float, n: int, dt: float, t_end: float,
     if sample_times is None:
         sample_times = default_sample_times(dt, t_end)
     per_env = np.empty((n_envs, 2, len(sample_times)))
-    for e in range(n_envs):
-        drift = DriftField.from_stream(
-            sample_stream_function(grid, eps, l_max, stream(seed, "particle-env", e)))
-        est = euler_maruyama(drift, dt, t_end, paths_per_env,
-                             stream(seed, "particle-path", e),
-                             sample_times=sample_times)
-        per_env[e] = est.msd
+    # one build at a time: a build's transients are the peak memory, so an
+    # environment is built while another walks, never while another builds
+    building = Lock()
+
+    def run_env(e):
+        with building:
+            drift = DriftField.from_stream(sample_stream_function(
+                grid, eps, l_max, stream(seed, "particle-env", e)))
+        per_env[e] = euler_maruyama(drift, dt, t_end, paths_per_env,
+                                    stream(seed, "particle-path", e),
+                                    sample_times=sample_times).msd
+
+    _map_units(run_env, range(n_envs), "environment {}")
     msd = per_env.mean(axis=0)
     se = per_env.std(axis=0, ddof=1) / np.sqrt(n_envs)
     return AnnealedMsd(np.asarray(sample_times, dtype=float), msd, se, per_env)

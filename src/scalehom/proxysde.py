@@ -64,11 +64,43 @@ BLOCK_SIZE = 16384
 
 
 def draw_threads() -> int:
-    """Threads that draw normals: the CPUs this process may run on (one under
-    ``taskset -c 0``), capped at DRAW_AHEAD; 1 draws inline, starting none."""
+    """Threads that draw normals here, and that run the independent units of
+    the spatial ensembles (:func:`_map_units`): the CPUs this process may run
+    on (one under ``taskset -c 0``), capped at DRAW_AHEAD; 1 runs inline,
+    starting none."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
         else range(os.cpu_count() or 1)
     return min(len(cpus), DRAW_AHEAD)
+
+
+def _map_units(fn, units, name: str) -> list:
+    """``[fn(u) for u in units]`` on up to :func:`draw_threads` threads, or
+    inline when that is 1.  Each unit keys its own streams and writes only
+    its own results, so the outcome is the same for any thread count.
+
+    An exception raised by ``fn(u)`` reaches the caller with ``name.format(u)``
+    put before its message; the first failing unit in order is the one
+    reported, and units not yet started are cancelled.
+    """
+    units = list(units)
+    n_workers = min(draw_threads(), len(units))
+    if n_workers <= 1:
+        return [_run_unit(fn, u, name) for u in units]
+    pool = ThreadPoolExecutor(n_workers)
+    try:
+        futures = [pool.submit(_run_unit, fn, u, name) for u in units]
+        return [fut.result() for fut in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _run_unit(fn, u, name: str):
+    try:
+        return fn(u)
+    except Exception as exc:
+        if exc.args != (str(exc),):
+            raise       # not a plain message, passed on as raised
+        raise type(exc)(f"{name.format(u)}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -302,6 +302,10 @@ class TestOtherCommands:
         assert (out / "field_moments.csv").exists()
 
 
+#: commands that run on ``proxysde.draw_threads()`` threads and record the count
+THREADED = ("sde-run", "field-run", "corrector-run", "particle-run", "accept")
+
+
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_every_command_writes_sidecars(tmp_path, monkeypatch, capsys, command):
     monkeypatch.setattr(cli.acceptance, "run_all", lambda verbose=True: [])
@@ -317,6 +321,25 @@ def test_every_command_writes_sidecars(tmp_path, monkeypatch, capsys, command):
     for p in data:
         meta = json.loads(p.with_name(p.name + ".meta.json").read_text())
         assert meta["config_sha256"] == cli.RunConfig.load(str(path)).sha256()
+        assert meta.get("draw_threads") == \
+            (proxysde.draw_threads() if command in THREADED else None)
+
+
+@pytest.mark.parametrize("command", ["field-run", "corrector-run", "particle-run"])
+def test_ensemble_data_byte_identical_across_threads(tmp_path, monkeypatch, command):
+    path = small_config(tmp_path, field={"box_mult": 2.0, "save_snapshot": "true"},
+                        particle={"n_envs": 3})
+    data = []
+    for threads in (1, 2):
+        monkeypatch.setattr(proxysde, "draw_threads", lambda n=threads: n)
+        out = tmp_path / f"threads{threads}"
+        assert cli.dispatch([command, "--config", str(path), "--out", str(out)]) == 0
+        files = sorted(p for p in out.iterdir() if not p.name.endswith(".meta.json"))
+        for p in files:
+            meta = json.loads(p.with_name(p.name + ".meta.json").read_text())
+            assert meta["draw_threads"] == threads
+        data.append({p.name: p.read_bytes() for p in files})
+    assert data[0] == data[1]
 
 
 class TestAccept:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scalehom import corrector as co
+from scalehom import proxysde
 from scalehom.fieldsim import TorusGrid
 from scalehom.rng import stream
 
@@ -74,8 +75,9 @@ class TestSolve:
         assert b.iterations == 0 and b.fallback_steps > 0
 
     def test_fft_budget_per_matvec(self, monkeypatch):
-        # the lgmres callback makes no FFT, and a solve costs at most 5 FFT
-        # calls per matvec plus a constant for set-up and the final check
+        # the lgmres callback makes no FFT, and a solve costs 5 FFT calls per
+        # matvec (a gradient's inverse transform is two calls, its two passes)
+        # plus 7 for set-up and the final check
         grid = TorusGrid.for_cutoff(8.0, 128, 4.0)
         coef = co.sample_stream_function(grid, 0.15, 8.0, stream(2, "coef", 0))
         ffts, matvecs, in_callback = [0], [0], [0]
@@ -104,7 +106,7 @@ class TestSolve:
         sol = co.solve_corrector(coef, E1, tol=1e-10)
         assert sol.fallback_steps == 0 and sol.iterations > 0 and matvecs[0] > 0
         assert in_callback[0] == 0
-        assert ffts[0] <= 5 * matvecs[0] + 6
+        assert ffts[0] == 5 * matvecs[0] + 7
 
     def test_rejects_bad_inputs(self):
         grid = TorusGrid(64, 40.0)
@@ -147,6 +149,31 @@ class TestDiffusivity:
         assert run.lambda_se < 0.01
         assert np.all(run.lambdas >= 1.0)
         assert run.lambda_mean == pytest.approx(np.mean(run.lambdas))
+
+    def test_ensemble_same_for_any_thread_count(self, monkeypatch):
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setattr(proxysde, "draw_threads", lambda n=threads: n)
+            runs.append(co.run_corrector_ensemble(0.15, 4.0, 64, n_samples=3, seed=6))
+        one, two = runs
+        assert np.array_equal(one.lambdas, two.lambdas)
+        assert [vars(st) for st in one.stats] == [vars(st) for st in two.stats]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failure_names_sample_and_direction(self, monkeypatch, threads):
+        monkeypatch.setattr(proxysde, "draw_threads", lambda: threads)
+        orig, calls = co.solve_corrector, []
+
+        def rigged(coef, xi, **kwargs):
+            calls.append(tuple(xi))
+            if len(calls) > 2 and tuple(xi) == (0.0, 1.0):
+                raise FloatingPointError("corrector solve stalled")
+            return orig(coef, xi, **kwargs)
+        monkeypatch.setattr(co, "solve_corrector", rigged)
+        with pytest.raises(FloatingPointError, match=r"^corrector sample 1, direction "
+                           r"\(0\.0, 1\.0\): corrector solve stalled$"):
+            co.run_corrector_ensemble(0.15, 4.0, 64, n_samples=3, seed=6)
+        assert len(calls) == 4      # sample 2 never starts
 
     def test_perturbative_window_small_amplitude(self):
         # the full solve sits within a few percent of the linearized energy

@@ -1,5 +1,7 @@
 """Spectral shell synthesis, driver identities, and field-mode evolution."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,21 @@ class TestSpectralHelper:
         got = grid.derivatives(np.fft.rfft2(np.stack([u, v])), ((1, 0), (0, 1)))
         ref = self._reference(u, grid, 1, 0) + self._reference(v, grid, 0, 1)
         assert np.max(np.abs(got.sum(axis=0) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_equals_irfft2_of_the_multiplied_spectra(self):
+        # the two inverse passes are irfft2's own, bit for bit
+        grid = fs.TorusGrid(64, 9.0)
+        half = np.fft.rfft2(stream(15, "helper").standard_normal((64, 64)))
+        kx, ky = grid.half_wavevectors()
+        spectra = []
+        for a, b in self.ORDERS:
+            mult = half * kx ** a
+            mult *= (1, 1j, -1, -1j)[(a + b) % 4] * ky ** b
+            if a % 2:
+                mult[32, 1:-1] = 0.0
+            spectra.append(mult)
+        want = np.fft.irfft2(np.array(spectra), s=(64, 64))
+        assert np.array_equal(grid.derivatives(half, self.ORDERS), want)
 
     def test_driver_fields_match_complex_multipliers(self):
         # the driver triple against the hand-built complex multipliers
@@ -219,6 +236,19 @@ class TestStepFields:
         with pytest.raises(FloatingPointError, match=r"\(3, 5\)"):
             fs.step_fields(state, zero)
 
+    def test_row_blocks_match_whole_planes(self, small_grid):
+        # the kernel is pointwise, so row blocks give the whole-plane bytes
+        sh = fs.sample_shell_field(small_grid, 1.0, 4.0, 0.6, stream(16, "rows"))
+        drv = fs.driver_fields(sh, 1.4, 0.1)
+        state = fs.FieldState.initial(small_grid)
+        state.phi += stream(17, "rows").standard_normal(state.phi.shape)
+        phi, f = state.phi.copy(), state.f.copy()
+        proxysde.euler_update(phi, f, proxysde.increment_planes(drv.dphi, drv.grad,
+                                                                drv.hess))
+        out = fs.step_fields(state, drv)
+        assert small_grid.n > fs._ROW_BLOCK
+        assert np.array_equal(out.phi, phi) and np.array_equal(out.f, f)
+
     def test_spatial_mean_determinant_stays_unit(self, field_run):
         mean, se = field_run.moments()
         det_col = list(proxysde.MOMENT_NAMES).index("det")
@@ -248,6 +278,39 @@ class TestEnsembleConsistency:
             z = (fmean[-1, j] - ps.column(name)[-1]) / np.hypot(
                 fse[-1, j], ps.se(name)[-1])
             assert abs(z) < 3.0, (name, z)
+
+    def test_same_for_any_thread_count(self, monkeypatch):
+        cfg = fs.FieldConfig(eps=0.6, l_max=4.0, n=64, n_samples=3, seed=7)
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setattr(proxysde, "draw_threads", lambda n=threads: n)
+            runs.append(fs.run_field_ensemble(cfg, keep_final=True))
+        one, two = runs
+        for name in ("moment_samples", "qv_dpsi", "qv_grad_dpsi", "qv_hess_contraction"):
+            assert np.array_equal(getattr(one, name), getattr(two, name)), name
+        # the kept state is sample 0's, whichever thread finished last
+        assert one.final_state.lambda2 == two.final_state.lambda2
+        assert np.array_equal(one.final_state.phi, two.final_state.phi)
+        assert np.array_equal(one.final_state.f, two.final_state.f)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failure_names_its_sample(self, monkeypatch, threads):
+        monkeypatch.setattr(proxysde, "draw_threads", lambda: threads)
+
+        def rigged(seed, label, index=0, counter=0):
+            # from its third shell on, sample 1 draws increments 1e200 times
+            # too large, so its Jacobian overflows on the fourth
+            gen = stream(seed, label, index, counter)
+            if index == 1 and counter >= 2:
+                return SimpleNamespace(
+                    standard_normal=lambda shape: 1e200 * gen.standard_normal(shape))
+            return gen
+        monkeypatch.setattr(fs, "stream", rigged)
+        cfg = fs.FieldConfig(eps=0.6, l_max=4.0, n=64, n_samples=3, seed=7)
+        with pytest.raises(FloatingPointError,
+                           match=r"^field sample 1: non-finite Jacobian .* lam2 = "):
+            fs.run_field_ensemble(cfg)
 
     def test_requires_enough_shells(self):
         cfg = fs.FieldConfig(eps=0.5, l_max=2.0, n=64, n_samples=2, seed=0)

@@ -2,13 +2,17 @@
 
 import importlib.util
 import sys
+import threading
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from scalehom import particle as pa
+from scalehom import proxysde
 from scalehom.corrector import sample_stream_function
 from scalehom.fieldsim import TorusGrid
 from scalehom.rng import stream
@@ -169,3 +173,108 @@ class TestOccupancy:
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         p = stats.chi2.sf(chi2, counts.size - 1)
         assert p > 1e-4
+
+
+class TestEnvironmentThreads:
+    """Environments run on ``proxysde.draw_threads()`` threads, one build at
+    a time, with the same result for any count."""
+
+    KW = dict(eps=0.4, l_max=4.0, n=64, dt=0.1, t_end=5.0, n_envs=5,
+              paths_per_env=300, seed=21)
+
+    def test_same_for_any_thread_count(self, monkeypatch):
+        runs = []
+        for threads in (1, 2):
+            monkeypatch.setattr(proxysde, "draw_threads", lambda n=threads: n)
+            runs.append(pa.annealed_msd(**self.KW))
+        one, two = runs
+        assert np.array_equal(one.per_env, two.per_env)
+        assert np.array_equal(one.msd, two.msd) and np.array_equal(one.se, two.se)
+
+    def test_more_workers_than_cores_lose_no_row(self, monkeypatch):
+        # four workers on frequent thread switches write every row once
+        monkeypatch.setattr(proxysde, "draw_threads", lambda: 1)
+        serial = pa.annealed_msd(**dict(self.KW, n_envs=8))
+        monkeypatch.setattr(proxysde, "draw_threads", lambda: 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = pa.annealed_msd(**dict(self.KW, n_envs=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(serial.per_env, threaded.per_env)
+
+    def test_builds_never_overlap(self, monkeypatch):
+        monkeypatch.setattr(proxysde, "draw_threads", lambda: 2)
+        orig = pa.DriftField.from_stream.__func__
+        lock, in_flight, most, threads = threading.Lock(), [0], [0], set()
+
+        def counted(cls, coef):
+            with lock:
+                in_flight[0] += 1
+                most[0] = max(most[0], in_flight[0])
+                threads.add(threading.get_ident())
+            time.sleep(0.05)    # a window wide enough for a second build
+            try:
+                return orig(cls, coef)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+        monkeypatch.setattr(pa.DriftField, "from_stream", classmethod(counted))
+        pa.annealed_msd(**self.KW)
+        assert most[0] == 1 and len(threads) == 2
+
+    def test_one_thread_starts_none(self, monkeypatch):
+        monkeypatch.setattr(proxysde, "draw_threads", lambda: 1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+        monkeypatch.setattr(proxysde, "ThreadPoolExecutor", no_pool)
+        threads, orig = set(), pa.euler_maruyama
+
+        def walk(*args, **kwargs):
+            threads.add(threading.get_ident())
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(pa, "euler_maruyama", walk)
+        pa.annealed_msd(**self.KW)
+        assert threads == {threading.get_ident()}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failure_names_its_environment(self, monkeypatch, threads):
+        # environment 2 draws a non-finite stream function, so its drift is
+        # non-finite everywhere
+        monkeypatch.setattr(proxysde, "draw_threads", lambda: threads)
+        started = []
+
+        def rigged(seed, label, index=0, counter=0):
+            if label == "particle-env":
+                started.append(index)
+                if index == 2:
+                    return SimpleNamespace(
+                        standard_normal=lambda shape: np.full(shape, np.nan))
+            return stream(seed, label, index, counter)
+        monkeypatch.setattr(pa, "stream", rigged)
+        with pytest.raises(FloatingPointError, match="^environment 2: non-finite") as info:
+            pa.annealed_msd(**dict(self.KW, n_envs=12))
+        assert isinstance(info.value.__cause__, FloatingPointError)
+        if threads == 1:
+            assert started == [0, 1, 2]
+        assert len(started) < 12
+
+
+def test_units_not_started_are_cancelled(monkeypatch):
+    monkeypatch.setattr(proxysde, "draw_threads", lambda: 2)
+    started = []
+
+    def unit(u):
+        started.append(u)
+        if u == 0:
+            raise ValueError("bad input")
+        time.sleep(0.2)
+        return u
+
+    with pytest.raises(ValueError, match=r"^unit 0: bad input$"):
+        proxysde._map_units(unit, range(10), "unit {}")
+    assert 0 in started and max(started) < 4
+    assert proxysde._map_units(lambda u: u * u, range(5), "unit {}") == [0, 1, 4, 9, 16]
