@@ -31,7 +31,7 @@ import numpy as np
 import scipy
 
 from . import __version__, acceptance, corrector, fieldsim, kolmogorov, \
-    momentodes, particle, proxysde
+    momentodes, particle, proxysde, shellcov
 
 
 def parse_list(raw: str, caster=float) -> list:
@@ -247,6 +247,14 @@ def run_qv_check(sec, seed):
         r1.passed and r2.passed
 
 
+def _sde_draws() -> dict:
+    """How the proxy SDE draws its normals, for the sidecars of the runs that
+    step it: the threads, and each step's normals per trajectory and their
+    generator."""
+    return {"draw_threads": proxysde.draw_threads(),
+            "normals_per_step": shellcov.RANK, "step_generator": "SFC64"}
+
+
 def run_sde(sec, seed):
     run = proxysde.SdeConfig(
         eps=sec["eps"], lambda2_max=sec["lambda2_max"], n_steps=sec["n_steps"],
@@ -257,8 +265,7 @@ def run_sde(sec, seed):
     rows = [[s.lambda2[i], s.ln_l[i], *s.means[i], *s.ses[i]]
             for i in range(len(s.lambda2))]
     return {"sde_series.csv": Csv(_moment_header(["lambda2", "ln_l"]), rows)}, \
-        {"n_traj": run.n_traj, "mode": run.mode,
-         "draw_threads": proxysde.draw_threads()}, True
+        {"n_traj": run.n_traj, "mode": run.mode, **_sde_draws()}, True
 
 
 def run_ode(sec, seed):
@@ -353,7 +360,7 @@ def run_accept(sec, seed):
     results = acceptance.run_all(verbose=True)
     payload = {r.name: r.payload() for r in results}
     payload["all_pass"] = passed = all(r.passed for r in results)
-    return {"accept.json": payload}, {"draw_threads": proxysde.draw_threads()}, passed
+    return {"accept.json": payload}, _sde_draws(), passed
 
 
 #: one CLI command: its config section (or None), its runner, and the

@@ -29,11 +29,11 @@ implementation of this step, on component planes (phi^0, phi^1, F00, F01,
 F10, F11) of any batch shape; the field mode uses it too.
 
 Trajectories run in fixed-size blocks, in order, and block results are
-reduced in block order.  Each (block, step) draws its normals from its own
-counter-based stream keyed by (seed, block, step); :func:`draw_threads` pool
-threads draw the next steps while the caller's thread applies the current
-one.  The drawing runs in parallel, not the blocks, and output is identical
-for any number of draw threads.
+reduced in block order.  Each (block, step) draws its ``shellcov.RANK``
+normals per trajectory from its own SFC64 stream keyed by (seed, block,
+step); :func:`draw_threads` pool threads draw the next steps while the
+caller's thread applies the current one.  The drawing runs in parallel, not
+the blocks, and output is identical for any number of draw threads.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import shellcov
-from .rng import stream
+from . import rng, shellcov
 from .tensor2d import HESS_SLOTS
 
 MOMENT_NAMES = (
@@ -61,6 +60,8 @@ DRAW_AHEAD = 2
 #: trajectories per block; the block index keys the stream of its normals,
 #: so this value is part of the stream layout
 BLOCK_SIZE = 16384
+#: the generator of one (block, step) cell's normals, part of the stream layout
+stream = rng.sfc64_stream
 
 
 def draw_threads() -> int:
@@ -300,15 +301,16 @@ def _initial_planes(*shape: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normals(pool, seed: int, label: str, block: int, n_steps: int, n_rows: int):
-    """Each step's ``(n_rows, 12)`` standard normals, step ``i`` from
-    ``stream(seed, label, block, counter=i)``.  With a pool, its threads draw
-    steps i+1 ... i+DRAW_AHEAD into a ring of DRAW_AHEAD + 1 buffers while
-    the caller uses step i."""
-    ring = np.empty((1 if pool is None else DRAW_AHEAD + 1, n_rows, 12))
+    """Each step's ``(n_rows, shellcov.RANK)`` standard normals, step ``i``
+    from ``stream(seed, label, block, counter=i)``.  With a pool, its threads
+    draw steps i+1 ... i+DRAW_AHEAD into a ring of DRAW_AHEAD + 1 buffers
+    while the caller uses step i."""
+    shape = (n_rows, shellcov.RANK)
+    ring = np.empty((1 if pool is None else DRAW_AHEAD + 1, *shape))
 
     def draw(i):
         return stream(seed, label, block, counter=i).standard_normal(
-            (n_rows, 12), out=ring[i % len(ring)])
+            shape, out=ring[i % len(ring)])
 
     if pool is None:
         yield from map(draw, range(n_steps))
@@ -328,7 +330,7 @@ def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_bl
     vec = np.empty((n_block, 12))
     buf = np.empty((9, n_block))
     sums = np.zeros((len(rec_idx), 9))
-    sumsq = np.zeros((len(rec_idx), 9))
+    m2 = np.zeros((len(rec_idx), 9))
     rec_pos = {int(g): r for r, g in enumerate(rec_idx)}
     snaps = {}
 
@@ -337,7 +339,10 @@ def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_bl
         if r is not None:
             m = moment_planes(phi, f, buf)
             sums[r] += m.sum(axis=1)
-            sumsq[r] += np.einsum("ij,ij->i", m, m)
+            # M2 from planes centred in place about the block mean, free of
+            # the cancellation in sumsq/n - mean^2
+            m -= (sums[r] / n_block)[:, None]
+            m2[r] = np.einsum("ij,ij->i", m, m)
         if grid_i in snap_idx:
             snaps[grid_i] = (np.sum(f * f, axis=(0, 1)), f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0])
 
@@ -362,36 +367,43 @@ def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_bl
         raise FloatingPointError(
             f"non-finite trajectory in block {block}: {who}, moment sums first "
             f"non-finite at lam2 = {x[g]:.17g} (grid step {g})")
-    return sums, sumsq, snaps
+    return sums, m2, snaps
 
 
 def run_ensemble(cfg: SdeConfig) -> EnsembleResult:
     """Evolve ``cfg.n_traj`` independent trajectories and reduce their moments.
 
     Deterministic for a given seed, whatever the draw threads; standard errors
-    are plain per-quantity sample errors of the mean.
+    are plain per-quantity sample errors of the mean, from each block's
+    centred M2 merged in block order by the pairwise update of Chan, Golub
+    and LeVeque, which keeps them accurate where the variance is small
+    against the squared mean.
     """
     x, factors, damps = _prepare_steps(cfg)
     rec_idx = _record_points(cfg)
     snap_idx = _snapshot_indices(cfg, x)
 
     sums = np.zeros((len(rec_idx), 9))
-    sumsq = np.zeros((len(rec_idx), 9))
+    m2 = np.zeros((len(rec_idx), 9))
+    n_done = 0
     snap_parts: dict[int, list] = {g: [] for g in snap_idx}
     n_draw = draw_threads()
     with ThreadPoolExecutor(n_draw) if n_draw > 1 else nullcontext() as pool:
         for b, n_block in enumerate(_blocks(cfg.n_traj, BLOCK_SIZE)):
-            s, sq, snaps = _run_block(cfg, x, factors, damps, rec_idx, snap_idx, b,
-                                      n_block, pool)
+            s, m2_b, snaps = _run_block(cfg, x, factors, damps, rec_idx, snap_idx, b,
+                                        n_block, pool)
+            if n_done:
+                delta = s / n_block - sums / n_done
+                m2_b += delta ** 2 * (n_done * n_block / (n_done + n_block))
+            m2 += m2_b
             sums += s
-            sumsq += sq
+            n_done += n_block
             for g, arrs in snaps.items():
                 snap_parts[g].append(arrs)
 
     n = cfg.n_traj
-    means = sums / n
-    var = np.maximum(sumsq / n - means ** 2, 0.0) * (n / max(n - 1, 1))
-    series = MomentSeries(cfg.eps, x[rec_idx], n, means, np.sqrt(var / n))
+    var = m2 / max(n - 1, 1)
+    series = MomentSeries(cfg.eps, x[rec_idx], n, sums / n, np.sqrt(var / n))
     series.validate()
 
     snapshots = {}

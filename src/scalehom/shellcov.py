@@ -26,6 +26,12 @@ from functools import lru_cache
 
 import numpy as np
 
+#: directions of the driver law that sampling draws: the 12 components span
+#: polynomials in the wave direction of degrees 1, 2 and 3 (2 + 3 + 4
+#: functions), so the trace of the gradient and two Hessian combinations
+#: carry no variance at any scale or step
+RANK = 9
+
 #: monomial table of the multiplier vector for the rescaled driver triple
 #: (dphi/L, grad, L*hess): sign, power of t1, power of t2.
 _MONOMIALS = (
@@ -97,9 +103,19 @@ class DriverCovariance:
         return self._eig
 
     def factor(self) -> np.ndarray:
-        """Matrix square root used for sampling (eigenvalue clamped at 0)."""
+        """(12, RANK) factor used for sampling: the eigenvectors of the RANK
+        largest eigenvalues, scaled by their roots (clamped at 0).
+
+        Raises ``FloatingPointError`` if a dropped eigenvalue exceeds 1e-12
+        of the largest, i.e. if the law has more than RANK directions.
+        """
         w, v = self.eigensystem()
-        return v * np.sqrt(w)
+        dropped = float(w[-RANK - 1])
+        if dropped > 1e-12 * w[-1]:
+            raise FloatingPointError(
+                f"driver covariance above rank {RANK}: dropped eigenvalue "
+                f"{dropped:.3e} (largest {w[-1]:.3e}) at lam2 = {self.lambda2}")
+        return v[:, -RANK:] * np.sqrt(w[-RANK:])
 
 
 def build_cov(lambda2: float) -> DriverCovariance:
@@ -121,12 +137,13 @@ def gaussian_from_factor(fac: np.ndarray, z: np.ndarray,
     """Centred Gaussian rows with covariance ``fac @ fac.T`` from normals ``z``.
 
     The one place where standard normals become driver increments: row ``i``
-    of ``out`` is ``fac @ z_i``.  The product runs in row blocks of
-    ``ROW_BLOCK``, bit-identical to ``z @ fac.T``; a lone last row joins the
-    block before it, as a one-row product goes through gemv, which sums in
-    another order.
+    of ``out`` is ``fac @ z_i``, so (n, RANK) normals and the (12, RANK)
+    :meth:`DriverCovariance.factor` give (n, 12) driver rows.  The product
+    runs in row blocks of ``ROW_BLOCK``, bit-identical to ``z @ fac.T``; a
+    lone last row joins the block before it, as a one-row product goes
+    through gemv, which sums in another order.
     """
-    out = np.empty_like(z) if out is None else out
+    out = np.empty((len(z), len(fac))) if out is None else out
     edges = [*range(0, max(len(z) - 1, 1), ROW_BLOCK), len(z)]
     for lo, hi in zip(edges[:-1], edges[1:]):
         np.matmul(z[lo:hi], fac.T, out=out[lo:hi])
@@ -140,8 +157,7 @@ def components_to_fields(vec: np.ndarray) -> list:
     components in ``tensor2d.HESS_SLOTS`` order, each of batch shape
     ``vec.shape[:-1]``; all but g00 are views into ``vec``.  The gradient is
     trace free, g11 = -g00 = -(v2 - v5)/2: the trace is a null direction of
-    the law, and sampling leaves only the root of a rounding-level
-    eigenvalue there.
+    the law, which the rank-RANK factor leaves at rounding level.
     """
     v = np.moveaxis(vec, -1, 0)
     return [v[0], v[1], 0.5 * (v[2] - v[5]), v[3], v[4], *v[6:]]

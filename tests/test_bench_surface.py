@@ -48,7 +48,7 @@ def test_tracer_skips_no_name():
 
 
 @pytest.mark.parametrize("threads", [1, 2])
-def test_traced_draws_count_twelve_normals_per_step(monkeypatch, threads):
+def test_traced_draws_count_nine_normals_per_step(monkeypatch, threads):
     # the draw hands its size to standard_normal; a draw into a buffer
     # without one would be counted as a single normal
     tracing = load_tracing()
@@ -62,5 +62,5 @@ def test_traced_draws_count_twelve_normals_per_step(monkeypatch, threads):
     finally:
         patches.undo()
     metrics = tracing.per_layer_metrics(tracer)
-    assert metrics["rng.normals_per_traj_step"][0] == 12
+    assert metrics["rng.normals_per_traj_step"][0] == 9
     assert metrics["rng.streams_opened"][0] == 3 * cfg.n_steps

@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from scalehom import cli, proxysde
+from scalehom import cli, proxysde, shellcov
 
 
 def small_config(tmp_path, **overrides):
@@ -166,6 +166,8 @@ class TestSdeRun:
         assert meta["seed"] == 11 and "config_sha256" in meta
         assert "wall_time_s" in meta
         assert meta["draw_threads"] == proxysde.draw_threads() >= 1
+        assert meta["normals_per_step"] == shellcov.RANK == 9
+        assert meta["step_generator"] == "SFC64"
 
     @pytest.mark.parametrize("cpus, drew", [(1, 1), (3, proxysde.DRAW_AHEAD)])
     def test_sidecar_records_threads_that_drew(self, tmp_path, monkeypatch, cpus, drew):
@@ -304,6 +306,8 @@ class TestOtherCommands:
 
 #: commands that run on ``proxysde.draw_threads()`` threads and record the count
 THREADED = ("sde-run", "field-run", "corrector-run", "particle-run", "accept")
+#: commands that step the proxy SDE and record how it draws
+SDE_DRAWS = ("sde-run", "accept")
 
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
@@ -323,6 +327,8 @@ def test_every_command_writes_sidecars(tmp_path, monkeypatch, capsys, command):
         assert meta["config_sha256"] == cli.RunConfig.load(str(path)).sha256()
         assert meta.get("draw_threads") == \
             (proxysde.draw_threads() if command in THREADED else None)
+        drew = (meta.get("normals_per_step"), meta.get("step_generator"))
+        assert drew == ((9, "SFC64") if command in SDE_DRAWS else (None, None))
 
 
 @pytest.mark.parametrize("command", ["field-run", "corrector-run", "particle-run"])
@@ -359,6 +365,7 @@ class TestAccept:
         meta = json.loads((out / "accept.json.meta.json").read_text())
         assert meta["seed"] == cli.acceptance.SEED == 11
         assert meta["draw_threads"] == proxysde.draw_threads()
+        assert meta["normals_per_step"] == 9 and meta["step_generator"] == "SFC64"
         assert gate_calls == [True]
 
     @pytest.mark.parametrize("how", ["flag", "config"])

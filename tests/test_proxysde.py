@@ -1,5 +1,6 @@
 """Trajectory stepping, ensemble moments, and scheme-convergence checks."""
 
+import math
 import os
 import sys
 import threading
@@ -34,7 +35,7 @@ class TestStep:
         f0 = rng.standard_normal((2, 2, 4))
         f = f0.copy()
         fac = shellcov.step_covariance(1.0, 1.01, 0.5).factor()
-        vec = shellcov.gaussian_from_factor(fac, rng.standard_normal((4, 12)))
+        vec = shellcov.gaussian_from_factor(fac, rng.standard_normal((4, shellcov.RANK)))
         inc = shellcov.components_to_fields(vec)
         proxysde.euler_update(phi, f, inc, np.exp(-0.01 / 0.25))
         grad = np.array([[inc[2], inc[3]], [inc[4], -inc[2]]])
@@ -47,7 +48,7 @@ class TestStep:
         rng = np.random.default_rng(2)
         n = 1_000_000
         fac = shellcov.step_covariance(1.0, 1.05, 0.5).factor()
-        vec = shellcov.gaussian_from_factor(fac, rng.standard_normal((n, 12)))
+        vec = shellcov.gaussian_from_factor(fac, rng.standard_normal((n, shellcov.RANK)))
         inc = shellcov.components_to_fields(vec)
         phi, f = proxysde._initial_planes(n)
         proxysde.euler_update(phi, f, inc, np.exp(-0.05 / 0.25), full=False)
@@ -131,6 +132,26 @@ class TestEnsemble:
         snap = res.snapshots[2.0]
         assert snap["f2"].shape == (5000,)
         assert snap["f2"].mean() == pytest.approx(res.series.column("f2")[-1])
+
+    def test_standard_errors_match_two_pass_reference(self, monkeypatch):
+        # one step in, the variance of |F|^2 and det F is tiny against their
+        # squared means: a one-pass sumsq/n - mean^2 cancels there (about
+        # 1e-11 relative off here), centred per-block sums do not
+        monkeypatch.setattr(proxysde, "BLOCK_SIZE", 4096)
+        x1, x2 = 1.0075, 1.015
+        cfg = proxysde.SdeConfig(eps=0.2, lambda2_max=1.075, n_steps=10, n_traj=20_000,
+                                 seed=3, snapshot_points=(x1, x2))
+        res = proxysde.run_ensemble(cfg)
+        for row, pt in ((1, x1), (2, x2)):
+            snap = res.snapshots[pt]
+            for name, v in (("f2", snap["f2"]), ("f4", snap["f2"] ** 2),
+                            ("det", snap["det"]), ("det2", snap["det"] ** 2)):
+                v = v.tolist()
+                mean = math.fsum(v) / len(v)
+                ref = math.sqrt(math.fsum((a - mean) ** 2 for a in v)
+                                / (len(v) - 1) / len(v))
+                assert res.series.se(name)[row] == pytest.approx(ref, rel=1e-13, abs=0), \
+                    (name, row)
 
     def test_zero_amplitude_is_frozen(self):
         cfg = proxysde.SdeConfig(eps=0.0, lambda2_max=3.0, n_steps=10, n_traj=50, seed=0)
@@ -252,12 +273,12 @@ class TestKernels:
         np.testing.assert_allclose(s.ses[-1], PINNED_SES, rtol=1e-12)
 
 
-PINNED_MEANS = [0.02317232760555312, 0.0010581754642882402, 2.82244582643162,
-                8.808734901316102, 1.0023500219596988, 1.0103475737530223,
-                0.06554523132716578, 0.003193010136245949, 0.0032779179529979613]
-PINNED_SES = [0.00041689027138546374, 4.240298276573041e-05, 0.016761219094886662,
-              0.14628182838735826, 0.0013716035052192595, 0.0027931433386925203,
-              0.0012856963929923182, 0.00010586498680623486, 0.00011002903351953077]
+PINNED_MEANS = [0.02340310562447992, 0.0010823589154402764, 2.8340011918393238,
+                8.866739257957219, 1.0012801913765088, 1.0082155320168191,
+                0.06613555241400278, 0.003344704501334502, 0.0033638326481628743]
+PINNED_SES = [0.00042222894257723216, 4.329574761393518e-05, 0.016687869722310084,
+              0.13637301525270637, 0.0013730010324924829, 0.0028025567755880073,
+              0.001285844661460101, 0.0001073133897053708, 0.00011282217506411762]
 
 
 class TestNonFiniteReport:

@@ -163,7 +163,7 @@ class TestSampling:
         cov = shellcov.build_cov(1.4)
         rng = np.random.default_rng(2)
         vec = shellcov.gaussian_from_factor(np.sqrt(0.01) * cov.factor(),
-                                           rng.standard_normal((200_000, 12)))
+                                           rng.standard_normal((200_000, shellcov.RANK)))
         assert vec.shape == (200_000, 12)
         # the gradient trace v2 + v5 is a null direction of the law: what is
         # left there is the square root of a rounding-level eigenvalue
@@ -180,7 +180,7 @@ class TestSampling:
         xtx = np.zeros((12, 12))
         for _ in range(10):
             vec = shellcov.gaussian_from_factor(np.sqrt(d) * cov.factor(),
-                                               rng.standard_normal((n // 10, 12)))
+                                               rng.standard_normal((n // 10, shellcov.RANK)))
             xtx += vec.T @ vec
         emp = xtx / n
         se = np.sqrt((np.outer(np.diag(target), np.diag(target)) + target ** 2) / n)
@@ -190,8 +190,8 @@ class TestSampling:
     def test_disjoint_shell_draws_independent(self):
         cov = shellcov.build_cov(1.4)
         rng = np.random.default_rng(4)
-        a = shellcov.gaussian_from_factor(cov.factor(), rng.standard_normal((100_000, 12)))
-        b = shellcov.gaussian_from_factor(cov.factor(), rng.standard_normal((100_000, 12)))
+        a, b = (shellcov.gaussian_from_factor(
+            cov.factor(), rng.standard_normal((100_000, shellcov.RANK))) for _ in range(2))
         sd = np.sqrt(np.diag(cov.matrix))
         live = sd > 0
         cross = (a.T @ b)[np.ix_(live, live)] / 100_000
@@ -201,10 +201,30 @@ class TestSampling:
     @pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 16384])
     def test_blocked_product_bit_identical(self, n):
         fac = shellcov.step_covariance(1.3, 1.35, 0.3).factor()
-        z = np.random.default_rng(n).standard_normal((n, 12))
+        z = np.random.default_rng(n).standard_normal((n, shellcov.RANK))
         out = np.full((n, 12), np.nan)
         assert shellcov.gaussian_from_factor(fac, z, out) is out
         assert np.array_equal(out, z @ fac.T)
+
+    @pytest.mark.parametrize("eps, lambda2_max, n_steps",
+                             [(0.2, 4.0, 400), (0.2, 25.0, 1200)])
+    def test_rank_factor_reproduces_step_law(self, eps, lambda2_max, n_steps):
+        # the sde-run and deep_tail grids: the RANK kept directions carry
+        # the whole law at the first, middle and last steps
+        x = proxysde.SdeConfig(eps=eps, lambda2_max=lambda2_max, n_steps=n_steps,
+                               n_traj=1).grid()
+        for i in (0, n_steps // 2, n_steps - 1):
+            cov = shellcov.step_covariance(x[i], x[i + 1], eps)
+            fac = cov.factor()
+            assert fac.shape == (12, shellcov.RANK)
+            gap = np.max(np.abs(fac @ fac.T - cov.matrix))
+            assert gap <= 1e-14 * np.max(np.abs(cov.matrix)), i
+
+    def test_rank_cut_of_a_full_rank_law_raises(self):
+        cov = shellcov.DriverCovariance(2.0, np.diag(np.linspace(1.0, 2.0, 12)))
+        with pytest.raises(FloatingPointError,
+                           match=r"dropped eigenvalue 1\.182e\+00 .* at lam2 = 2\.0"):
+            cov.factor()
 
     def test_rejects_bad_step(self):
         # the step law is where a non-positive step is caught
