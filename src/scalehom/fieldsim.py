@@ -14,15 +14,20 @@ the scale variable lam2; each shell uses the log-midpoint scale in its
 multipliers, which removes the leading finite-shell-width bias from the
 quadratic-variation estimates.  Spectra are real-FFT half spectra, and
 ``TorusGrid.derivatives`` serves this module, the corrector and the particle
-drift.  FFT work is pure and every sample owns a counter-based stream, so
-the samples of an ensemble run on :func:`proxysde.draw_threads` threads, each
-writing only its own rows, and the results are the same for any thread count.
+drift.  The drift's cutoffs confine each shell to an annulus, so most columns
+of a half spectrum are zero: the transforms run on the occupied columns only
+(FFT pruning, Markel 1971), read from the data, and give the values of the
+full transforms bit for bit.  FFT work is pure and every sample owns a
+counter-based stream, so the samples of an ensemble run on
+:func:`proxysde.draw_threads` threads, each writing only its own rows, and the
+results are the same for any thread count.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -65,34 +70,59 @@ class TorusGrid:
         return 1.0 / k2
 
     def synthesize(self, spectra: np.ndarray) -> np.ndarray:
-        """Grid values of one half spectrum or a stack of them (batched irfft2)."""
-        return np.fft.irfft2(spectra, s=(self.n, self.n))
+        """Grid values of one half spectrum or a stack of them (irfft2)."""
+        return self._inverse(spectra[..., :_occupied(spectra)], in_place=False)
 
     def derivatives(self, coeffs: np.ndarray, orders) -> np.ndarray:
         """Fields d_x^a d_y^b f for (a, b) in ``orders``, stacked, from the half
-        spectrum ``coeffs`` of f (one, or one per order), in one batched irfft2.
+        spectrum ``coeffs`` of f (one, or one per order), by one batched
+        inverse transform of the occupied columns.
 
         Each multiplier (i kx)^a (i ky)^b acts by its Hermitian part, as the
         real part of an fft2 derivative does: irfft2 takes it on the first and
         last columns, and the Nyquist row between them is zeroed for odd a.
+        Multipliers are formed on the occupied columns of ``coeffs`` only.
         """
         kx, ky = self.half_wavevectors()
-        coeffs = np.broadcast_to(coeffs, (len(orders), kx.size, ky.size))
-        out = np.empty(coeffs.shape, dtype=complex)
+        m = _occupied(coeffs)
+        ky = ky[:, :m]
+        coeffs = np.broadcast_to(coeffs[..., :m], (len(orders), kx.size, m))
+        band = np.empty(coeffs.shape, dtype=complex)
         for j, (a, b) in enumerate(orders):
-            np.multiply(coeffs[j], kx ** a, out=out[j])
-            out[j] *= _I_POW[(a + b) % 4] * ky ** b
+            np.multiply(coeffs[j], kx ** a, out=band[j])
+            band[j] *= _I_POW[(a + b) % 4] * ky ** b
             if a % 2:
-                out[j, self.n // 2, 1:-1] = 0.0
-        # irfft2's two passes, the first in place on the scratch spectra: the
-        # same values without one more complex array of their size
-        np.fft.ifft(out, axis=-2, out=out)
-        return np.fft.irfft(out, n=self.n, axis=-1)
+                band[j, self.n // 2, 1:self.n // 2] = 0.0
+        return self._inverse(band, in_place=True)
+
+    def _inverse(self, band: np.ndarray, in_place: bool) -> np.ndarray:
+        """irfft2, bit for bit, of half spectra whose columns beyond ``band``'s
+        (..., n, m) are zero: the column pass runs on the band alone (in place
+        on it if ``in_place``), and the row pass pads the missing columns with
+        zeros itself.  An empty band makes zero fields without a transform."""
+        if band.shape[-1] == 0:
+            return np.zeros(band.shape[:-1] + (self.n,))
+        band = np.fft.ifft(band, axis=-2, out=band if in_place else None)
+        return np.fft.irfft(band, n=self.n, axis=-1)
 
     @classmethod
     def for_cutoff(cls, l_max: float, n: int, box_mult: float = 4.0) -> "TorusGrid":
         """Box holding ``box_mult`` wavelengths of the largest cutoff scale."""
         return cls(n, box_mult * 2.0 * np.pi * l_max)
+
+
+def _occupied(spectra: np.ndarray) -> int:
+    """1 + the index of the last column of ``spectra`` (..., n, n/2 + 1) that
+    holds a nonzero entry; 0 for an all-zero spectrum."""
+    if np.any(spectra[..., -1] != 0.0):     # full width, found without a scan
+        return spectra.shape[-1]
+    cols = np.flatnonzero(np.any(spectra != 0.0, axis=tuple(range(spectra.ndim - 1))))
+    return int(cols[-1]) + 1 if cols.size else 0
+
+
+#: rows of white noise drawn and row-transformed at a time by
+#: :func:`sample_shell_field`, so no (n, n) noise or full spectrum is held
+_NOISE_ROWS = 128
 
 
 @dataclass
@@ -119,22 +149,36 @@ def sample_shell_field(grid: TorusGrid, l_lo: float, l_hi: float, eps: float,
     """
     if not 1.0 <= l_lo < l_hi:
         raise ValueError("need 1 <= l_lo < l_hi")
+    n = grid.n
     kx, ky = grid.half_wavevectors()
-    k2 = kx * kx + ky * ky
+    # |ky| grows along the half spectrum, so the annulus lies in its first m columns
+    m = int(np.count_nonzero(ky * ky <= 1.0 / l_lo ** 2))
+    k2 = kx * kx + ky[:, :m] * ky[:, :m]
     mask = (k2 > 1.0 / l_hi ** 2) & (k2 <= 1.0 / l_lo ** 2)
     if not mask.any():
         raise ValueError(
             f"no lattice modes in shell annulus ({1.0 / l_hi:.4g}, {1.0 / l_lo:.4g}] "
             f"with mode spacing {2.0 * np.pi / grid.box_len:.4g}")
-    inv_k2 = np.where(mask, 1.0 / np.where(mask, k2, 1.0), 0.0)
+    # full width, so that the lattice sums add in the order of the full spectrum
+    inv_k2 = np.zeros((n, ky.size))
+    inv_k2[:, :m] = np.where(mask, 1.0 / np.where(mask, k2, 1.0), 0.0)
     del k2, mask
     # interior columns of the half spectrum stand for themselves and their mirrors
     lattice = 2.0 * inv_k2.sum() - inv_k2[:, 0].sum() - inv_k2[:, -1].sum()
-    calib = eps ** 2 * np.log(l_hi / l_lo) * grid.n ** 2 / lattice
-    inv_k2 *= calib
-    amp = np.sqrt(inv_k2, out=inv_k2)
-    coeffs = np.fft.rfft2(rng.standard_normal((grid.n, grid.n)))
-    coeffs *= amp
+    calib = eps ** 2 * np.log(l_hi / l_lo) * n ** 2 / lattice
+    amp = inv_k2[:, :m] * calib
+    np.sqrt(amp, out=amp)
+    del inv_k2
+    # rfft2 of one (n, n) white-noise draw, its row pass in blocks of rows
+    # drawn in turn from the same generator, its column pass on the band only
+    band = np.empty((n, m), dtype=complex)
+    for r in range(0, n, _NOISE_ROWS):
+        rows = band[r:r + _NOISE_ROWS]
+        rows[...] = np.fft.rfft(rng.standard_normal((len(rows), n)))[:, :m]
+    np.fft.fft(band, axis=0, out=band)
+    band *= amp
+    coeffs = np.zeros((n, ky.size), dtype=complex)
+    coeffs[:, :m] = band
     return ShellField(grid, coeffs)
 
 
@@ -209,9 +253,10 @@ class FieldConfig:
     l_max: float
     n: int
     box_mult: float = 4.0
-    shell_ratio: float = 2.0 ** 0.25
     n_samples: int = 16
     seed: int = 0
+    #: cutoff ratio of consecutive shells, uniform steps in lam2
+    shell_ratio: ClassVar[float] = 2.0 ** 0.25
 
     def shells(self) -> np.ndarray:
         """Geometric cutoff ladder 1 = l_0 < ... <= l_max (uniform in lam2)."""

@@ -15,7 +15,9 @@ infrared range.
 The environments of an annealed average are independent units with their own
 counter-based streams: they run on :func:`proxysde.draw_threads` threads,
 each writing its own row, so the result is the same for any thread count.
-Builds take turns, since a build's transients set the peak memory.
+Builds take turns, since a build's transients set the peak memory; with the
+band-limited transforms of :mod:`fieldsim` they stay below the size of the
+drift a build returns.
 """
 
 from __future__ import annotations

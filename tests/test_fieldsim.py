@@ -10,6 +10,20 @@ from scalehom import proxysde
 from scalehom.rng import stream
 
 
+def _multiplied_spectra(grid, half, orders) -> np.ndarray:
+    """The derivative multipliers applied to the full half spectrum ``half``,
+    odd-a Nyquist rows zeroed between the first and last columns."""
+    kx, ky = grid.half_wavevectors()
+    spectra = []
+    for a, b in orders:
+        mult = half * kx ** a
+        mult *= (1, 1j, -1, -1j)[(a + b) % 4] * ky ** b
+        if a % 2:
+            mult[grid.n // 2, 1:-1] = 0.0
+        spectra.append(mult)
+    return np.array(spectra)
+
+
 def _hermitian_completion(half: np.ndarray) -> np.ndarray:
     """Full n x n spectrum of a real field from its rfft2 half spectrum."""
     n = half.shape[0]
@@ -88,19 +102,12 @@ class TestSpectralHelper:
         assert np.max(np.abs(got.sum(axis=0) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_equals_irfft2_of_the_multiplied_spectra(self):
-        # the two inverse passes are irfft2's own, bit for bit
+        # the two inverse passes are irfft2's own, bit for bit, on a full band
         grid = fs.TorusGrid(64, 9.0)
         half = np.fft.rfft2(stream(15, "helper").standard_normal((64, 64)))
-        kx, ky = grid.half_wavevectors()
-        spectra = []
-        for a, b in self.ORDERS:
-            mult = half * kx ** a
-            mult *= (1, 1j, -1, -1j)[(a + b) % 4] * ky ** b
-            if a % 2:
-                mult[32, 1:-1] = 0.0
-            spectra.append(mult)
-        want = np.fft.irfft2(np.array(spectra), s=(64, 64))
+        want = np.fft.irfft2(_multiplied_spectra(grid, half, self.ORDERS), s=(64, 64))
         assert np.array_equal(grid.derivatives(half, self.ORDERS), want)
+        assert np.array_equal(grid.synthesize(half), np.fft.irfft2(half, s=(64, 64)))
 
     def test_driver_fields_match_complex_multipliers(self):
         # the driver triple against the hand-built complex multipliers
@@ -123,6 +130,83 @@ class TestSpectralHelper:
             for plane, mult in want:
                 ref = np.fft.ifft2(mult * base).real
                 assert np.max(np.abs(plane - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _band_spectrum(n: int, cols, seed: int) -> np.ndarray:
+    """rfft2 half spectrum of white noise, zero outside the columns ``cols``."""
+    full = np.fft.rfft2(stream(seed, "band").standard_normal((n, n)))
+    half = np.zeros_like(full)
+    half[:, cols] = full[:, cols]
+    return half
+
+
+class TestBandLimitedInverse:
+    """The band-limited inverse against irfft2 of the full spectra, bit for bit
+    (the full band is ``TestSpectralHelper``'s)."""
+
+    ORDERS = TestSpectralHelper.ORDERS
+    BANDS = {"zero": [], "narrow": slice(0, 5), "nyquist-column": [0, 32]}
+
+    @pytest.mark.parametrize("band", list(BANDS))
+    def test_derivatives_and_synthesis(self, band):
+        grid = fs.TorusGrid(64, 9.0)
+        half = _band_spectrum(64, self.BANDS[band], 20)
+        if band == "narrow":
+            # the odd-a Nyquist-row zeroing acts inside the band
+            assert np.all(half[32, :5] != 0.0)
+        want = np.fft.irfft2(_multiplied_spectra(grid, half, self.ORDERS), s=(64, 64))
+        assert np.array_equal(grid.derivatives(half, self.ORDERS), want)
+        stack = np.stack([half, _band_spectrum(64, slice(0, 3), 21)])
+        assert np.array_equal(grid.synthesize(stack), np.fft.irfft2(stack, s=(64, 64)))
+        assert np.array_equal(grid.synthesize(half), np.fft.irfft2(half, s=(64, 64)))
+
+    def test_zero_spectrum_makes_no_transform(self, monkeypatch):
+        grid = fs.TorusGrid(64, 9.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("transform of a zero spectrum")
+        for name in ("ifft", "irfft", "irfft2"):
+            monkeypatch.setattr(np.fft, name, refuse)
+        zero = np.zeros((64, 33), dtype=complex)
+        assert np.array_equal(grid.synthesize(zero), np.zeros((64, 64)))
+        got = grid.derivatives(zero, self.ORDERS)
+        assert got.shape == (len(self.ORDERS), 64, 64) and not np.any(got)
+
+
+def _reference_shell(grid, l_lo, l_hi, eps, rng):
+    """The shell formula on the full half spectrum: one (n, n) white-noise
+    draw, rfft2, the calibrated amplitude."""
+    kx, ky = grid.half_wavevectors()
+    k2 = kx * kx + ky * ky
+    mask = (k2 > 1.0 / l_hi ** 2) & (k2 <= 1.0 / l_lo ** 2)
+    inv_k2 = np.where(mask, 1.0 / np.where(mask, k2, 1.0), 0.0)
+    lattice = 2.0 * inv_k2.sum() - inv_k2[:, 0].sum() - inv_k2[:, -1].sum()
+    amp = np.sqrt(inv_k2 * (eps ** 2 * np.log(l_hi / l_lo) * grid.n ** 2 / lattice))
+    return np.fft.rfft2(rng.standard_normal((grid.n, grid.n))) * amp
+
+
+class TestBandLimitedShell:
+    # (grid, l_lo, l_hi): n below the noise row block; a narrow band over
+    # four row blocks; a coarse grid whose band reaches the Nyquist column
+    CASES = {"n-below-block": (fs.TorusGrid.for_cutoff(4.0, 64, 4.0), 1.0, 4.0),
+             "narrow": (fs.TorusGrid.for_cutoff(16.0, 512, 2.0), 1.0, 16.0),
+             "nyquist-column": (fs.TorusGrid(64, 256.0), 1.0, 8.0)}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_equals_one_draw_and_rfft2(self, case):
+        grid, l_lo, l_hi = self.CASES[case]
+        got = fs.sample_shell_field(grid, l_lo, l_hi, 0.4, stream(22, case)).coeffs
+        want = _reference_shell(grid, l_lo, l_hi, 0.4, stream(22, case))
+        assert got.shape == want.shape and np.array_equal(got, want)
+        if case == "nyquist-column":
+            assert np.any(got[:, -1] != 0.0)
+
+    def test_row_blocks_draw_one_noise_sequence(self):
+        n = 4 * fs._NOISE_ROWS
+        gen = stream(23, "rows")
+        blocks = [gen.standard_normal((fs._NOISE_ROWS, n)) for _ in range(4)]
+        assert np.array_equal(np.concatenate(blocks),
+                              stream(23, "rows").standard_normal((n, n)))
 
 
 class TestShellSampling:
@@ -255,6 +339,12 @@ class TestStepFields:
         z = np.abs(mean[1:, det_col] - 1.0) / np.where(se[1:, det_col] > 0,
                                                        se[1:, det_col], 1.0)
         assert np.max(z) < 3.0
+
+
+def test_shell_ratio_is_not_a_setting():
+    with pytest.raises(TypeError):
+        fs.FieldConfig(eps=0.5, l_max=4.0, n=64, shell_ratio=1.5)
+    assert fs.FieldConfig(eps=0.5, l_max=4.0, n=64).shell_ratio == 2.0 ** 0.25
 
 
 class TestEnsembleConsistency:

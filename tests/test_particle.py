@@ -4,6 +4,7 @@ import importlib.util
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -58,6 +59,19 @@ class TestDriftField:
         a = drift_env.at(np.array([[0.3, 0.7]]))
         b = drift_env.at(np.array([[0.3 + 5 * box, 0.7 - 3 * box]]))
         assert np.allclose(a, b, atol=1e-9)
+
+    def test_build_peak_memory_below_twice_the_drift(self):
+        # the build's spectra are transformed on their occupied columns only,
+        # so its transients stay below the size of the drift it returns
+        grid = TorusGrid.for_cutoff(32.0, 1024, 2.0)
+        tracemalloc.start()
+        try:
+            drift = pa.DriftField.from_stream(
+                sample_stream_function(grid, 0.4, 32.0, stream(4, "mem")))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * drift.b.nbytes
 
 
 class TestPureDiffusion:
