@@ -84,7 +84,7 @@ class CorrectorSolution:
     """Converged corrector: potential, spectral gradient, solver diagnostics.
 
     ``iterations`` counts lgmres iterations; ``fallback_steps`` the damped
-    fixed-point steps, 0 unless lgmres was skipped or missed ``tol``.
+    fixed-point steps, 0 unless lgmres missed ``tol``.
     ``residual_history``: true residual after lgmres, then per fixed-point step.
     """
 
@@ -97,8 +97,7 @@ class CorrectorSolution:
     residual_history: list = field(default_factory=list)
 
 
-def solve_corrector(coef: CoefField, xi, tol: float = 1e-8,
-                    use_krylov: bool = True) -> CorrectorSolution:
+def solve_corrector(coef: CoefField, xi, tol: float = 1e-8) -> CorrectorSolution:
     """Solve the corrector problem in direction ``xi`` to relative residual ``tol``.
 
     lgmres solves the preconditioned equation u + lap^{-1}(grad psi . J grad u)
@@ -143,19 +142,16 @@ def solve_corrector(coef: CoefField, xi, tol: float = 1e-8,
         res = float(np.linalg.norm(fields[3] + fields[4] + adv - rhs) / rhs_norm)
         return fields[0], grad, adv, res
 
-    phi_hat = np.zeros((n, n // 2 + 1), dtype=complex)
     iterations = fallback_steps = 0
+    op = LinearOperator((n * n, n * n), matvec=precond_op, dtype=float)
 
-    if use_krylov:
-        op = LinearOperator((n * n, n * n), matvec=precond_op, dtype=float)
+    def track(_):
+        nonlocal iterations
+        iterations += 1
 
-        def track(_):
-            nonlocal iterations
-            iterations += 1
-
-        u, _ = lgmres(op, grid.synthesize(inv_lap(rhs)).ravel(), rtol=tol * 1e-2,
-                      atol=0.0, maxiter=_MAX_ITER, callback=track)
-        phi_hat = np.fft.rfft2(u.reshape(n, n))
+    u, _ = lgmres(op, grid.synthesize(inv_lap(rhs)).ravel(), rtol=tol * 1e-2,
+                  atol=0.0, maxiter=_MAX_ITER, callback=track)
+    phi_hat = np.fft.rfft2(u.reshape(n, n))
 
     phi, grad, adv, res = close(phi_hat)
     history = [res]

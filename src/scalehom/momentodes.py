@@ -32,6 +32,7 @@ whose integrands are bounded by their values at y = x.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,7 +63,10 @@ class ClosureSource:
         if mode == "mc":
             if xs is None or mix is None or bul is None or adj is None:
                 raise ValueError("mc closure needs the interpolation tables")
-            self.xs, self.mix, self.bul, self.adj = xs, mix, bul, adj
+            # Python-float copies: one bisect finds the interval for all three
+            self._knots = np.asarray(xs, dtype=float).tolist()
+            self._rows = list(zip(*(np.asarray(c, dtype=float).tolist()
+                                    for c in (mix, bul, adj))))
 
     @classmethod
     def bound(cls) -> "ClosureSource":
@@ -76,11 +80,17 @@ class ClosureSource:
     def terms(self, x: float) -> tuple[float, float, float]:
         if self.mode == "bound":
             return 0.0, 0.0, 0.0
-        if x > self.xs[-1] * (1.0 + 1e-9) or x < self.xs[0] - 1e-12:
+        knots, x = self._knots, float(x)
+        if not knots[0] - 1e-12 <= x <= knots[-1] * (1.0 + 1e-9):
             raise ValueError(f"closure data does not cover x = {x}")
-        return (float(np.interp(x, self.xs, self.mix)),
-                float(np.interp(x, self.xs, self.bul)),
-                float(np.interp(x, self.xs, self.adj)))
+        # np.interp's value, bit for bit: the end values outside the knots
+        # and the knot value on a knot, else slope * (x - x_j) + f_j
+        j = bisect.bisect_right(knots, x) - 1
+        if j < 0 or j == len(knots) - 1 or knots[j] == x:
+            return self._rows[max(j, 0)]
+        x0, x1 = knots[j], knots[j + 1]
+        return tuple((b - a) / (x1 - x0) * (x - x0) + a
+                     for a, b in zip(self._rows[j], self._rows[j + 1]))
 
 
 def rhs(x: float, m: np.ndarray, eps: float, closure: ClosureSource) -> np.ndarray:

@@ -31,9 +31,12 @@ F10, F11) of any batch shape; the field mode uses it too.
 Trajectories run in fixed-size blocks, in order, and block results are
 reduced in block order.  Each (block, step) draws its ``shellcov.RANK``
 normals per trajectory from its own SFC64 stream keyed by (seed, block,
-step); :func:`draw_threads` pool threads draw the next steps while the
-caller's thread applies the current one.  The drawing runs in parallel, not
-the blocks, and output is identical for any number of draw threads.
+step).  The caller's thread counts as one of the :func:`draw_threads`
+threads: it turns each step's normals into component-major increment planes
+and applies the step, while the others (one on two CPUs, none on one, where
+the caller draws inline) draw the next steps' normals.  The drawing runs in
+parallel, not the blocks, and output is identical for any number of draw
+threads.
 """
 
 from __future__ import annotations
@@ -65,10 +68,10 @@ stream = rng.sfc64_stream
 
 
 def draw_threads() -> int:
-    """Threads that draw normals here, and that run the independent units of
-    the spatial ensembles (:func:`_map_units`): the CPUs this process may run
-    on (one under ``taskset -c 0``), capped at DRAW_AHEAD; 1 runs inline,
-    starting none."""
+    """Threads that run the proxy SDE, the caller's own among them, and that
+    run the independent units of the spatial ensembles (:func:`_map_units`):
+    the CPUs this process may run on (one under ``taskset -c 0``), capped at
+    DRAW_AHEAD; 1 runs inline, starting none."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
         else range(os.cpu_count() or 1)
     return min(len(cpus), DRAW_AHEAD)
@@ -199,31 +202,40 @@ def euler_update(phi: np.ndarray, f: np.ndarray, inc, damp=1.0,
 
     ``phi`` (2, ...) and ``f`` (2, 2, ...) hold the state component-major for
     any batch shape; ``inc`` is the 11 increment planes of
-    :func:`shellcov.components_to_fields` (g11 = -g00).  ``damp`` is
-    exp(-dlam2/eps^2) for the stored phi/L and 1 in raw variables (field
-    mode); ``full=False`` drops the Hessian term (``exp`` mode).
+    :func:`shellcov.components_to_fields` (g11 = -g00, which enters as a
+    subtraction).  ``damp`` is exp(-dlam2/eps^2) for the stored phi/L and 1
+    in raw variables (field mode); ``full=False`` drops the Hessian term
+    (``exp`` mode).  Each entry is (a x + b y) + c, summed in this order as
+    by separate array expressions, so the result is theirs to the bit; three
+    scratch planes are the only memory a call takes.
     """
     p0, p1 = phi[0, ...], phi[1, ...]
-    f00, f01, f10, f11 = f[0, 0, ...], f[0, 1, ...], f[1, 0, ...], f[1, 1, ...]
-    d0, d1, g00, g01, g10 = inc[:5]
-    g11 = -g00
-    new = [_acc(f00, g00, f00, g01, f10), _acc(f01, g00, f01, g01, f11),
-           _acc(f10, g10, f00, g11, f10), _acc(f11, g10, f01, g11, f11)]
-    if full:
-        h000, h001, h011, h100, h101, h111 = inc[5:]
-        new = [_acc(new[0], h000, p0, h001, p1), _acc(new[1], h001, p0, h011, p1),
-               _acc(new[2], h100, p0, h101, p1), _acc(new[3], h101, p0, h111, p1)]
-    q0, q1 = _acc(p0, g00, p0, g01, p1), _acc(p1, g10, p0, g11, p1)
-    phi[0, ...], phi[1, ...] = damp * q0 + d0, damp * q1 + d1
-    f[0, 0, ...], f[0, 1, ...], f[1, 0, ...], f[1, 1, ...] = new
+    d0, d1, g00, g01, g10, *h = inc
+    s, t, u = np.empty((3, *p0.shape))
+    for j in (0, 1):
+        # column j of F: both new entries read the old (F0j, F1j)
+        a, b = f[0, j, ...], f[1, j, ...]
+        _pair(g00, a, g01, b, s, u)
+        _pair(g10, a, g00, b, t, u, np.subtract)
+        a += s
+        b += t
+        if full:
+            # h is (h000, h001, h011, h100, h101, h111); F_cj gains
+            # h_cj0 phi0 + h_cj1 phi1, with h_c10 = h_c01
+            a += _pair(h[j], p0, h[j + 1], p1, s, u)
+            b += _pair(h[3 + j], p0, h[4 + j], p1, s, u)
+    _pair(g00, p0, g01, p1, s, u)
+    _pair(g10, p0, g00, p1, t, u, np.subtract)
+    for p, q, d in ((p0, s, d0), (p1, t, d1)):
+        p += q
+        p *= damp
+        p += d
 
 
-def _acc(c, a, x, b, y):
-    """c + (a x + b y), accumulated in one fresh array."""
-    t = a * x
-    t += b * y
-    t += c
-    return t
+def _pair(a, x, b, y, out, tmp, op=np.add):
+    """``out = op(a x, b y)``, with ``tmp`` as scratch."""
+    np.multiply(a, x, out=out)
+    return op(out, np.multiply(b, y, out=tmp), out=out)
 
 
 def increment_planes(dphi: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> list:
@@ -247,19 +259,45 @@ def moment_planes(phi: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray
 
         bullet = ((d phi1 + r phi0)^2 + (d phi0 + r phi1)^2) / 16
                  + ((M01 phi1)^2 + (M10 phi0)^2) / 4.
+
+    Sums run left to right, as the formulas read, on four scratch planes.
     """
     p0, p1 = phi.reshape(2, -1)
     f00, f01, f10, f11 = f.reshape(4, -1)
-    out[0] = p0 * p0 + p1 * p1
-    out[2] = f00 * f00 + f01 * f01 + f10 * f10 + f11 * f11
-    out[4] = f00 * f11 - f01 * f10
-    out[1], out[3], out[5], out[6] = out[0] ** 2, out[2] ** 2, out[4] ** 2, out[0] * out[2]
-    d, r = f00 - f11, f01 - f10
-    dp0, dp1, rp0, rp1 = d * p0, d * p1, r * p0, r * p1
-    out[7] = ((dp1 + rp0) ** 2 + (dp0 + rp1) ** 2) / 16 \
-        + ((f01 * p1) ** 2 + (f10 * p0) ** 2) / 4
-    out[8] = ((rp0 - dp1) ** 2 + (rp1 - dp0) ** 2) / 16 \
-        + ((f10 * p1) ** 2 + (f01 * p0) ** 2) / 4
+    q, q2, a, a2, det, det2, mix, bul, adj = out
+    d, r, s, t = np.empty((4, p0.size))
+    np.multiply(p0, p0, out=q)
+    q += np.multiply(p1, p1, out=s)
+    np.multiply(f00, f00, out=a)
+    for c in (f01, f10, f11):
+        a += np.multiply(c, c, out=s)
+    np.multiply(f00, f11, out=det)
+    det -= np.multiply(f01, f10, out=s)
+    np.multiply(q, q, out=q2)
+    np.multiply(a, a, out=a2)
+    np.multiply(det, det, out=det2)
+    np.multiply(q, a, out=mix)
+    np.subtract(f00, f11, out=d)
+    np.subtract(f01, f10, out=r)
+    np.multiply(d, p1, out=s)           # d phi1
+    np.multiply(r, p0, out=t)           # r phi0
+    d *= p0                             # d phi0
+    r *= p1                             # r phi1
+    np.add(s, t, out=bul)
+    np.subtract(t, s, out=adj)
+    np.add(d, r, out=s)
+    np.subtract(r, d, out=t)
+    # bul takes (f01 phi1)^2 + (f10 phi0)^2, adj the same with f01, f10 swapped
+    for row, sq, m1, m0 in ((bul, s, f01, f10), (adj, t, f10, f01)):
+        row *= row
+        row += np.multiply(sq, sq, out=sq)
+        row /= 16
+        np.multiply(m1, p1, out=d)
+        d *= d
+        np.multiply(m0, p0, out=r)
+        d += np.multiply(r, r, out=r)
+        d /= 4
+        row += d
     return out
 
 
@@ -327,7 +365,7 @@ def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_bl
                pool):
     phi, f = _initial_planes(n_block)
     normals = _normals(pool, cfg.seed, "proxy-sde", block, cfg.n_steps, n_block)
-    vec = np.empty((n_block, 12))
+    planes = np.empty((12, n_block))
     buf = np.empty((9, n_block))
     sums = np.zeros((len(rec_idx), 9))
     m2 = np.zeros((len(rec_idx), 9))
@@ -351,8 +389,8 @@ def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_bl
         if factors is None:
             phi *= damps[i]
         else:
-            shellcov.gaussian_from_factor(factors[i], next(normals), vec)
-            euler_update(phi, f, shellcov.components_to_fields(vec), damps[i],
+            shellcov.gaussian_planes(factors[i], next(normals), planes)
+            euler_update(phi, f, shellcov.components_to_fields(planes.T), damps[i],
                          cfg.mode == "full")
         record(i + 1)
     # the last grid point is always recorded, so a non-finite phi or F shows
@@ -387,8 +425,10 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleResult:
     m2 = np.zeros((len(rec_idx), 9))
     n_done = 0
     snap_parts: dict[int, list] = {g: [] for g in snap_idx}
+    # the caller is one of the draw threads: it applies each step while the
+    # pool's threads draw the next ones
     n_draw = draw_threads()
-    with ThreadPoolExecutor(n_draw) if n_draw > 1 else nullcontext() as pool:
+    with ThreadPoolExecutor(n_draw - 1) if n_draw > 1 else nullcontext() as pool:
         for b, n_block in enumerate(_blocks(cfg.n_traj, BLOCK_SIZE)):
             s, m2_b, snaps = _run_block(cfg, x, factors, damps, rec_idx, snap_idx, b,
                                         n_block, pool)

@@ -183,3 +183,20 @@ class TestClosureSource:
             mo.ClosureSource("magic")
         with pytest.raises(ValueError):
             mo.ClosureSource("mc")
+
+    def test_mc_terms_equal_np_interp(self):
+        # at random points, on every knot, at both ends and just inside the
+        # tolerated overshoot past either end
+        rng = np.random.default_rng(9)
+        xs = np.sort(np.concatenate([[1.0, 25.0], rng.uniform(1.0, 25.0, 398)]))
+        cols = [rng.standard_normal(400) * 10.0 ** rng.uniform(-8, 3, 400)
+                for _ in range(3)]
+        clo = mo.ClosureSource("mc", xs, *cols)
+        pts = np.concatenate([rng.uniform(1.0, 25.0, 20_000), xs,
+                              [1.0 - 5e-13, 25.0 * (1 + 5e-10), np.nextafter(25.0, 0.0),
+                               np.nextafter(1.0, 2.0)]])
+        for x in pts:
+            assert clo.terms(x) == tuple(float(np.interp(x, xs, c)) for c in cols), x
+        for x in (1.0 - 1e-9, 25.0 * (1 + 1e-8), np.nan):
+            with pytest.raises(ValueError, match="cover"):
+                clo.terms(x)

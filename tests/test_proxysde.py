@@ -5,6 +5,8 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -91,7 +93,7 @@ class TestEnsemble:
         sys.setswitchinterval(1e-6)     # a ring slot reused too early shows
         results = []
         try:
-            for n in (1, 2, proxysde.DRAW_AHEAD):
+            for n in (1, 2, 3):
                 monkeypatch.setattr(proxysde, "draw_threads", lambda n=n: n)
                 results.append(proxysde.run_ensemble(cfg))
         finally:
@@ -104,6 +106,23 @@ class TestEnsemble:
             for pt in (1.5, 2.0):
                 for key in ("f2", "det"):
                     assert np.array_equal(ref.snapshots[pt][key], other.snapshots[pt][key])
+
+    def test_caller_counts_as_one_draw_thread(self, monkeypatch):
+        # the pool opens one thread fewer than draw_threads(), none at 1
+        workers = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers=None, *args, **kwargs):
+                workers.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(proxysde, "ThreadPoolExecutor", Recording)
+        cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=1.5, n_steps=4, n_traj=100, seed=0)
+        for n in (1, 2, 3):
+            monkeypatch.setattr(proxysde, "draw_threads", lambda n=n: n)
+            workers.clear()
+            proxysde.run_ensemble(cfg)
+            assert workers == ([] if n == 1 else [n - 1])
 
     def test_draw_threads_follow_the_affinity_mask(self, monkeypatch):
         # the CPUs this process may run on, capped at DRAW_AHEAD; the CPU
@@ -202,6 +221,69 @@ class TestEnsemble:
                                mode="heun")
 
 
+def euler_reference(phi, f, inc, damp=1.0, full=True):
+    """The Euler kernel as separate array expressions, one fresh array each."""
+    def acc(c, a, x, b, y):
+        t = a * x
+        t += b * y
+        t += c
+        return t
+
+    p0, p1 = phi[0, ...], phi[1, ...]
+    f00, f01, f10, f11 = f[0, 0, ...], f[0, 1, ...], f[1, 0, ...], f[1, 1, ...]
+    d0, d1, g00, g01, g10 = inc[:5]
+    g11 = -g00
+    new = [acc(f00, g00, f00, g01, f10), acc(f01, g00, f01, g01, f11),
+           acc(f10, g10, f00, g11, f10), acc(f11, g10, f01, g11, f11)]
+    if full:
+        h000, h001, h011, h100, h101, h111 = inc[5:]
+        new = [acc(new[0], h000, p0, h001, p1), acc(new[1], h001, p0, h011, p1),
+               acc(new[2], h100, p0, h101, p1), acc(new[3], h101, p0, h111, p1)]
+    q0, q1 = acc(p0, g00, p0, g01, p1), acc(p1, g10, p0, g11, p1)
+    phi[0, ...], phi[1, ...] = damp * q0 + d0, damp * q1 + d1
+    f[0, 0, ...], f[0, 1, ...], f[1, 0, ...], f[1, 1, ...] = new
+
+
+def moments_reference(phi, f, out):
+    """The moment kernel as separate array expressions, one fresh array each."""
+    p0, p1 = phi.reshape(2, -1)
+    f00, f01, f10, f11 = f.reshape(4, -1)
+    out[0] = p0 * p0 + p1 * p1
+    out[2] = f00 * f00 + f01 * f01 + f10 * f10 + f11 * f11
+    out[4] = f00 * f11 - f01 * f10
+    out[1], out[3], out[5], out[6] = out[0] ** 2, out[2] ** 2, out[4] ** 2, out[0] * out[2]
+    d, r = f00 - f11, f01 - f10
+    dp0, dp1, rp0, rp1 = d * p0, d * p1, r * p0, r * p1
+    out[7] = ((dp1 + rp0) ** 2 + (dp0 + rp1) ** 2) / 16 \
+        + ((f01 * p1) ** 2 + (f10 * p0) ** 2) / 4
+    out[8] = ((rp0 - dp1) ** 2 + (rp1 - dp0) ** 2) / 16 \
+        + ((f10 * p1) ** 2 + (f01 * p0) ** 2) / 4
+    return out
+
+
+#: batch shapes of the kernel references; "rows" is a 32-row view of a 256^2
+#: plane, as field mode passes it
+KERNEL_SHAPES = [(5,), (4096,), (16384,), (24, 24), "rows"]
+
+
+def sampled_planes(shape, seed):
+    """Component-major state and the 11 contiguous increment planes of the
+    sampler, or views of their first 32 rows for ``shape == "rows"``."""
+    full = (256, 256) if shape == "rows" else shape
+    m = int(np.prod(full))
+    rng = np.random.default_rng(seed)
+    phi = 0.3 * rng.standard_normal((2, *full))
+    f = rng.standard_normal((2, 2, *full))
+    fac = shellcov.step_covariance(1.0, 1.05, 0.5).factor()
+    planes = shellcov.gaussian_planes(fac, rng.standard_normal((m, shellcov.RANK)),
+                                      np.empty((12, m)))
+    inc = shellcov.components_to_fields(np.moveaxis(planes.reshape(12, *full), 0, -1))
+    if shape == "rows":
+        rows = slice(0, 32)
+        return phi[:, rows], f[:, :, rows], [p[rows] for p in inc]
+    return phi, f, inc
+
+
 def random_state_and_increment(shape, seed):
     """Trailing-component state and increment arrays; trace-free gradient,
     Hessian symmetric in its derivative slots."""
@@ -235,6 +317,46 @@ class TestKernels:
         proxysde.euler_update(phi_cm, f_cm, planes, damp, mode == "full")
         np.testing.assert_allclose(f_cm, lead(ref_f, 2), rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(phi_cm, lead(ref_phi, 1), rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    @pytest.mark.parametrize("damp", [0.7, 1.0])
+    @pytest.mark.parametrize("mode", ["full", "exp"])
+    def test_euler_update_bitwise_equals_fresh_array_form(self, shape, damp, mode):
+        phi, f, inc = sampled_planes(shape, 6)
+        ref_phi, ref_f = phi.copy(), f.copy()
+        euler_reference(ref_phi, ref_f, inc, damp, mode == "full")
+        proxysde.euler_update(phi, f, inc, damp, mode == "full")
+        assert np.array_equal(phi, ref_phi) and np.array_equal(f, ref_f)
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_moment_planes_bitwise_equal_fresh_array_form(self, shape):
+        phi, f, _ = sampled_planes(shape, 7)
+        m = int(np.prod(phi.shape[1:]))
+        got = proxysde.moment_planes(phi, f, np.empty((9, m)))
+        assert np.array_equal(got, moments_reference(phi, f, np.empty((9, m))))
+
+    @pytest.mark.parametrize("n", [7, 1025, 1696, 16385])
+    def test_component_major_planes_are_transposed_rows(self, n):
+        fac = shellcov.step_covariance(1.0, 1.01, 0.5).factor()
+        z = np.random.default_rng(n).standard_normal((n, shellcov.RANK))
+        planes = shellcov.gaussian_planes(fac, z, np.empty((12, n)))
+        assert np.array_equal(planes, shellcov.gaussian_from_factor(fac, z).T)
+
+    @pytest.mark.parametrize("kernel", ["euler_update", "moment_planes"])
+    def test_kernel_transient_memory_at_most_six_planes(self, kernel):
+        n = 16384
+        phi, f, inc = sampled_planes((n,), 8)
+        out = np.empty((9, n))
+        call = {"euler_update": lambda: proxysde.euler_update(phi, f, inc, 0.7),
+                "moment_planes": lambda: proxysde.moment_planes(phi, f, out)}[kernel]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * n * 8, peak / (n * 8)
 
     def test_gradient_with_trace_rejected(self):
         grad = np.zeros((2, 2, 1))
