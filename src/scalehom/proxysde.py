@@ -32,11 +32,10 @@ Trajectories run in fixed-size blocks, in order, and block results are
 reduced in block order.  Each (block, step) draws its ``shellcov.RANK``
 normals per trajectory from its own SFC64 stream keyed by (seed, block,
 step).  The caller's thread counts as one of the :func:`draw_threads`
-threads: it turns each step's normals into component-major increment planes
-and applies the step, while the others (one on two CPUs, none on one, where
-the caller draws inline) draw the next steps' normals.  The drawing runs in
-parallel, not the blocks, and output is identical for any number of draw
-threads.
+threads: it turns each step's normals into driver increments and applies
+the step, while the other one draws the next steps' normals (on one CPU
+there is none, and the caller draws inline).  The drawing runs in parallel,
+not the blocks, and output is identical for any number of draw threads.
 """
 
 from __future__ import annotations
@@ -365,7 +364,7 @@ def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_bl
                pool):
     phi, f = _initial_planes(n_block)
     normals = _normals(pool, cfg.seed, "proxy-sde", block, cfg.n_steps, n_block)
-    planes = np.empty((12, n_block))
+    vec = np.empty((n_block, 12))
     buf = np.empty((9, n_block))
     sums = np.zeros((len(rec_idx), 9))
     m2 = np.zeros((len(rec_idx), 9))
@@ -389,8 +388,8 @@ def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_bl
         if factors is None:
             phi *= damps[i]
         else:
-            shellcov.gaussian_planes(factors[i], next(normals), planes)
-            euler_update(phi, f, shellcov.components_to_fields(planes.T), damps[i],
+            shellcov.gaussian_from_factor(factors[i], next(normals), vec)
+            euler_update(phi, f, shellcov.components_to_fields(vec), damps[i],
                          cfg.mode == "full")
         record(i + 1)
     # the last grid point is always recorded, so a non-finite phi or F shows

@@ -132,14 +132,6 @@ def build_cov(lambda2: float) -> DriverCovariance:
 ROW_BLOCK = 1024
 
 
-def _row_blocks(n: int):
-    """The sampler's product row ranges, ``ROW_BLOCK`` rows each; a lone last
-    row joins the block before it, as a one-row product goes through gemv,
-    which sums in another order."""
-    edges = [*range(0, max(n - 1, 1), ROW_BLOCK), n]
-    return zip(edges[:-1], edges[1:])
-
-
 def gaussian_from_factor(fac: np.ndarray, z: np.ndarray,
                          out: np.ndarray | None = None) -> np.ndarray:
     """Centred Gaussian rows with covariance ``fac @ fac.T`` from normals ``z``.
@@ -147,23 +139,14 @@ def gaussian_from_factor(fac: np.ndarray, z: np.ndarray,
     The one place where standard normals become driver increments: row ``i``
     of ``out`` is ``fac @ z_i``, so (n, RANK) normals and the (12, RANK)
     :meth:`DriverCovariance.factor` give (n, 12) driver rows.  The product
-    runs in the row blocks of :func:`_row_blocks`, bit-identical to
-    ``z @ fac.T``.
+    runs in row blocks of ``ROW_BLOCK``, bit-identical to ``z @ fac.T``; a
+    lone last row joins the block before it, as a one-row product goes
+    through gemv, which sums in another order.
     """
     out = np.empty((len(z), len(fac))) if out is None else out
-    for lo, hi in _row_blocks(len(z)):
+    edges = [*range(0, max(len(z) - 1, 1), ROW_BLOCK), len(z)]
+    for lo, hi in zip(edges[:-1], edges[1:]):
         np.matmul(z[lo:hi], fac.T, out=out[lo:hi])
-    return out
-
-
-def gaussian_planes(fac: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """:func:`gaussian_from_factor`'s rows laid out component-major: ``out``
-    (12, n) is their transpose, bit for bit, so each component is one
-    contiguous plane.  Each row block's product goes to a contiguous scratch
-    block and is copied across; ``fac @ z.T`` would sum in another order."""
-    rows = np.empty((min(len(z), ROW_BLOCK + 1), len(fac)))
-    for lo, hi in _row_blocks(len(z)):
-        out[:, lo:hi] = np.matmul(z[lo:hi], fac.T, out=rows[:hi - lo]).T
     return out
 
 

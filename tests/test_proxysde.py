@@ -267,17 +267,17 @@ KERNEL_SHAPES = [(5,), (4096,), (16384,), (24, 24), "rows"]
 
 
 def sampled_planes(shape, seed):
-    """Component-major state and the 11 contiguous increment planes of the
-    sampler, or views of their first 32 rows for ``shape == "rows"``."""
+    """Component-major state and the sampler's 11 increment planes (strided
+    views of its rows, as the proxy SDE passes them), or views of their first
+    32 rows for ``shape == "rows"``."""
     full = (256, 256) if shape == "rows" else shape
     m = int(np.prod(full))
     rng = np.random.default_rng(seed)
     phi = 0.3 * rng.standard_normal((2, *full))
     f = rng.standard_normal((2, 2, *full))
     fac = shellcov.step_covariance(1.0, 1.05, 0.5).factor()
-    planes = shellcov.gaussian_planes(fac, rng.standard_normal((m, shellcov.RANK)),
-                                      np.empty((12, m)))
-    inc = shellcov.components_to_fields(np.moveaxis(planes.reshape(12, *full), 0, -1))
+    vec = shellcov.gaussian_from_factor(fac, rng.standard_normal((m, shellcov.RANK)))
+    inc = shellcov.components_to_fields(vec.reshape(*full, 12))
     if shape == "rows":
         rows = slice(0, 32)
         return phi[:, rows], f[:, :, rows], [p[rows] for p in inc]
@@ -334,13 +334,6 @@ class TestKernels:
         m = int(np.prod(phi.shape[1:]))
         got = proxysde.moment_planes(phi, f, np.empty((9, m)))
         assert np.array_equal(got, moments_reference(phi, f, np.empty((9, m))))
-
-    @pytest.mark.parametrize("n", [7, 1025, 1696, 16385])
-    def test_component_major_planes_are_transposed_rows(self, n):
-        fac = shellcov.step_covariance(1.0, 1.01, 0.5).factor()
-        z = np.random.default_rng(n).standard_normal((n, shellcov.RANK))
-        planes = shellcov.gaussian_planes(fac, z, np.empty((12, n)))
-        assert np.array_equal(planes, shellcov.gaussian_from_factor(fac, z).T)
 
     @pytest.mark.parametrize("kernel", ["euler_update", "moment_planes"])
     def test_kernel_transient_memory_at_most_six_planes(self, kernel):
