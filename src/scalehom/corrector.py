@@ -39,7 +39,7 @@ from scipy.sparse.linalg import LinearOperator, lgmres
 
 from . import tensor2d
 from .fieldsim import TorusGrid, sample_shell_field
-from .proxysde import _map_units
+from .proxysde import _map_units, truncated_second_moment
 from .rng import stream
 
 #: derivative orders (a, b) of d_x^a d_y^b that make a gradient
@@ -52,8 +52,9 @@ R_SCHEDULE = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 @dataclass
 class CoefField:
-    """Stream-function sample, held by its half spectrum (``rfft2`` layout),
-    and the implied coefficient field id + psi J."""
+    """Stream-function sample, held by the occupied band of its half spectrum
+    (the first columns of the ``rfft2`` layout; the rest are zero), and the
+    implied coefficient field id + psi J."""
 
     psi_hat: np.ndarray
     grid: TorusGrid
@@ -221,8 +222,7 @@ def jacobian_stats(sol1: CorrectorSolution, sol2: CorrectorSolution) -> Jacobian
     f2 = np.sum(f * f, axis=(0, 1))
     det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
     mean_f2 = float(f2.mean())
-    truncated = {float(r): float(f2[f2 <= r * mean_f2].sum() / f2.sum())
-                 for r in R_SCHEDULE}
+    truncated = {float(r): truncated_second_moment(f2, r) for r in R_SCHEDULE}
     lam = 0.5 * (effective_lambda(sol1) + effective_lambda(sol2))
     return JacobianStats(mean_f2, float(np.abs(det).mean()), float(det.mean()),
                          lam, truncated)

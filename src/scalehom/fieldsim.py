@@ -15,9 +15,11 @@ multipliers, which removes the leading finite-shell-width bias from the
 quadratic-variation estimates.  Spectra are real-FFT half spectra, and
 ``TorusGrid.derivatives`` serves this module, the corrector and the particle
 drift.  The drift's cutoffs confine each shell to an annulus, so most columns
-of a half spectrum are zero: the transforms run on the occupied columns only
-(FFT pruning, Markel 1971), read from the data, and give the values of the
-full transforms bit for bit.  FFT work is pure and every sample owns a
+of a half spectrum are zero: a shell is stored as its occupied band, the
+first m columns of the half spectrum, whose missing columns are zero by
+definition, and the transforms run on the occupied columns only (FFT
+pruning, Markel 1971), read from the data, and give the values of the full
+transforms bit for bit.  FFT work is pure and every sample owns a
 counter-based stream, so the samples of an ensemble run on
 :func:`proxysde.draw_threads` threads, each writing only its own rows, and the
 results are the same for any thread count.
@@ -70,13 +72,14 @@ class TorusGrid:
         return 1.0 / k2
 
     def synthesize(self, spectra: np.ndarray) -> np.ndarray:
-        """Grid values of one half spectrum or a stack of them (irfft2)."""
+        """Grid values of one half spectrum or a stack of them (irfft2); a
+        spectrum narrower than n/2 + 1 columns is zero beyond them."""
         return self._inverse(spectra[..., :_occupied(spectra)], in_place=False)
 
     def derivatives(self, coeffs: np.ndarray, orders) -> np.ndarray:
         """Fields d_x^a d_y^b f for (a, b) in ``orders``, stacked, from the half
-        spectrum ``coeffs`` of f (one, or one per order), by one batched
-        inverse transform of the occupied columns.
+        spectrum ``coeffs`` of f (one, or one per order; zero beyond its
+        columns), by one batched inverse transform of the occupied columns.
 
         Each multiplier (i kx)^a (i ky)^b acts by its Hermitian part, as the
         real part of an fft2 derivative does: irfft2 takes it on the first and
@@ -112,9 +115,9 @@ class TorusGrid:
 
 
 def _occupied(spectra: np.ndarray) -> int:
-    """1 + the index of the last column of ``spectra`` (..., n, n/2 + 1) that
-    holds a nonzero entry; 0 for an all-zero spectrum."""
-    if np.any(spectra[..., -1] != 0.0):     # full width, found without a scan
+    """1 + the index of the last column of ``spectra`` (..., n, w) that holds
+    a nonzero entry; 0 for an all-zero spectrum."""
+    if np.any(spectra[..., -1] != 0.0):     # all of w, found without a scan
         return spectra.shape[-1]
     cols = np.flatnonzero(np.any(spectra != 0.0, axis=tuple(range(spectra.ndim - 1))))
     return int(cols[-1]) + 1 if cols.size else 0
@@ -130,7 +133,7 @@ class ShellField:
     """One spectral stream-function increment supported on an annulus."""
 
     grid: TorusGrid
-    coeffs: np.ndarray          # half spectrum (rfft2 layout)
+    coeffs: np.ndarray          # (n, m) occupied band of the rfft2 half spectrum
 
     @property
     def values(self) -> np.ndarray:
@@ -145,7 +148,9 @@ def sample_shell_field(grid: TorusGrid, l_lo: float, l_hi: float, eps: float,
     ``1/l_hi < |k| <= 1/l_lo``; the proportionality constant is fixed so the
     lattice-sum variance equals the continuum value ``eps^2 ln(l_hi/l_lo)``
     (coarse annuli would otherwise bias the variance at the ten-percent
-    level).  Raises when the annulus captures no lattice modes.
+    level).  The coefficients are the band of the half spectrum that holds
+    the annulus: its first m columns, those with ky <= 1/l_lo.  Raises when
+    the annulus captures no lattice modes.
     """
     if not 1.0 <= l_lo < l_hi:
         raise ValueError("need 1 <= l_lo < l_hi")
@@ -177,9 +182,7 @@ def sample_shell_field(grid: TorusGrid, l_lo: float, l_hi: float, eps: float,
         rows[...] = np.fft.rfft(rng.standard_normal((len(rows), n)))[:, :m]
     np.fft.fft(band, axis=0, out=band)
     band *= amp
-    coeffs = np.zeros((n, ky.size), dtype=complex)
-    coeffs[:, :m] = band
-    return ShellField(grid, coeffs)
+    return ShellField(grid, band)
 
 
 @dataclass
@@ -203,7 +206,7 @@ def driver_fields(shell: ShellField, lam2: float, dlambda2: float) -> DriverFiel
     dphi = J grad base = (-d_y base, d_x base), base = dpsi_hat / (lam |k|^2)."""
     grid = shell.grid
     dpsi, *grad_dpsi = grid.derivatives(shell.coeffs, ((0, 0), (1, 0), (0, 1)))
-    base = shell.coeffs * grid.inv_k2() / np.sqrt(lam2)
+    base = shell.coeffs * grid.inv_k2()[:, :shell.coeffs.shape[-1]] / np.sqrt(lam2)
     d = dict(zip(_BASE_ORDERS, grid.derivatives(base, _BASE_ORDERS)))
     dphi = np.array([-d[0, 1], d[1, 0]])
     grad = np.array([[-d[1, 1], -d[0, 2]], [d[2, 0], d[1, 1]]])

@@ -37,6 +37,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .momentodes import envelope_constants
+from .proxysde import truncated_second_moment
 from .tensor2d import BULLET_OPNORM
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
@@ -352,9 +353,7 @@ def verify_tail(samples_f2: np.ndarray, eps: float, lambda2: float,
     lam = np.sqrt(lambda2)
     r_rel = relative_threshold(lambda2, margin)
     mean_f2 = float(samples_f2.mean())
-
-    below = samples_f2 <= r_rel * mean_f2
-    ratio = float(samples_f2[below].sum() / samples_f2.sum())
+    ratio = truncated_second_moment(samples_f2, r_rel)
     lhs = ratio * mean_f2 / lam
     # anchor the observable's plateau to the measured threshold so that
     # zeta(tau, r) >= (r/lam) 1(r <= threshold) holds pointwise

@@ -235,14 +235,6 @@ class Envelope:
     c_high: np.ndarray
     constants: dict
 
-    def contains(self, table: MomentTable, slack: float = 0.0) -> bool:
-        bl = np.interp(table.x, self.x, self.b_low)
-        bh = np.interp(table.x, self.x, self.b_high)
-        cl = np.interp(table.x, self.x, self.c_low)
-        ch = np.interp(table.x, self.x, self.c_high)
-        return bool(np.all((table.big_b >= bl - slack) & (table.big_b <= bh + slack)
-                           & (table.det2 >= cl - slack) & (table.det2 <= ch + slack)))
-
 
 def envelope(eps: float, x_end: float) -> Envelope:
     """Certified tube for B and C by integrating the bounding scalar flows.

@@ -16,23 +16,28 @@ The environments of an annealed average are independent units with their own
 counter-based streams: they run on :func:`proxysde.draw_threads` threads,
 each writing its own row, so the result is the same for any thread count.
 Builds take turns, since a build's transients set the peak memory; with the
-band-limited transforms of :mod:`fieldsim` they stay below the size of the
-drift a build returns.
+band-stored spectra and band-limited transforms of :mod:`fieldsim` they stay
+below a quarter of the size of the drift a build returns.  The path chunks
+of a cloud run on those threads too (:func:`euler_maruyama`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count, islice
-from threading import Lock
+from threading import Lock, local
 from typing import Iterator
 
 import numpy as np
 
 from .corrector import CoefField, sample_stream_function
 from .fieldsim import TorusGrid
-from .proxysde import _map_units
+from .proxysde import _blocks, _map_units, merge_moments
 from .rng import stream
+
+#: paths per chunk of a cloud; chunk c >= 1 draws from the c-th jump of the
+#: cloud's generator, so this value is part of the stream layout
+CHUNK_PATHS = 16384
 
 
 @dataclass
@@ -43,6 +48,8 @@ class DriftField:
     b: np.ndarray               # (2, n, n)
     grid: TorusGrid
     is_zero: bool = False
+    # per-thread lookup buffers, so that concurrent walks of one field share none
+    _scratch: local = field(default_factory=local, init=False, repr=False, compare=False)
 
     @classmethod
     def from_stream(cls, coef: CoefField) -> "DriftField":
@@ -56,24 +63,36 @@ class DriftField:
         return cls(np.zeros((2, grid.n, grid.n)), grid, is_zero=True)
 
     def at(self, pos: np.ndarray) -> np.ndarray:
-        """Bilinear drift lookup at unwrapped positions of shape (m, 2)."""
-        n, h = self.grid.n, self.grid.spacing
-        u = pos / h
-        i0 = np.floor(u).astype(np.int64)
-        frac = u - i0
-        i0 %= n
-        i1 = (i0 + 1) % n
-        fx, fy = frac[:, 0], frac[:, 1]
-        gx, gy = 1 - fx, 1 - fy
-        # weights and flat indices row * n + col of the four corners, shared
-        # by both components
-        w00, w10, w01, w11 = gx * gy, fx * gy, gx * fy, fx * fy
-        r0, r1, c0, c1 = i0[:, 0] * n, i1[:, 0] * n, i0[:, 1], i1[:, 1]
-        k00, k10, k01, k11 = r0 + c0, r1 + c0, r0 + c1, r1 + c1
+        """Bilinear drift lookup at unwrapped positions of shape (m, 2), in
+        (2, 2, m) buffers indexed [x corner, y corner] that the calling thread
+        keeps between calls of the same size."""
+        n, m = self.grid.n, len(pos)
+        s = self._scratch
+        if getattr(s, "m", None) != m:
+            s.m = m
+            s.u, s.cell = np.empty((2, 2, m))
+            s.fw, s.w, s.v = np.empty((3, 2, 2, m))
+            s.idx, s.k = np.empty((2, 2, 2, m), dtype=np.int64)
+        u = np.divide(pos.T, self.grid.spacing, out=s.u)
+        np.floor(u, out=s.cell)
+        # fw[axis] = (1 - frac, frac); idx[axis] = (cell, cell + 1) mod n, n a
+        # power of two, with the rows scaled to flat offsets
+        fw, idx = s.fw, s.idx
+        np.subtract(u, s.cell, out=fw[:, 1])
+        np.subtract(1, fw[:, 1], out=fw[:, 0])
+        np.copyto(idx[:, 0], s.cell, casting="unsafe")
+        np.add(idx[:, 0], 1, out=idx[:, 1])
+        idx &= n - 1
+        idx[0] *= n
+        w = np.multiply(fw[0, :, None], fw[1, None], out=s.w)
+        k = np.add(idx[0, :, None], idx[1, None], out=s.k)
         out = np.empty_like(pos)
         for c, bc in enumerate(self.b.reshape(2, -1)):
-            out[:, c] = (w00 * bc.take(k00) + w10 * bc.take(k10)
-                         + w01 * bc.take(k01) + w11 * bc.take(k11))
+            v = bc.take(k, out=s.v, mode="clip")
+            v *= w
+            np.add(v[0, 0], v[1, 0], out=out[:, c])
+            out[:, c] += v[0, 1]
+            out[:, c] += v[1, 1]
         return out
 
 
@@ -108,32 +127,43 @@ def default_sample_times(dt: float, t_end: float, n_times: int = 24) -> np.ndarr
     return np.unique(np.round(np.geomspace(max(dt, 1.0), t_end, n_times) / dt)) * dt
 
 
-def _steps(drift: DriftField, dt: float, x: np.ndarray,
-           rng: np.random.Generator) -> Iterator[int]:
-    """Euler-Maruyama steps of the cloud ``x`` (advanced in place), yielding
-    the 1-based step index after each; a drift marked ``is_zero`` is not
-    looked up.  The step must resolve the unit drift scale: 0 < dt <= 0.1."""
+def _stepper(drift: DriftField, dt: float):
+    """Euler-Maruyama walker: ``walk(x, rng)`` advances the cloud ``x`` in
+    place, yielding the 1-based step index after each step; a drift marked
+    ``is_zero`` is not looked up.  The step must resolve the unit drift
+    scale: 0 < dt <= 0.1, checked here, before any walk starts."""
     if not 0.0 < dt <= 0.1:
         raise ValueError("need 0 < dt <= 0.1 to resolve the drift scale")
     root2dt = np.sqrt(2.0 * dt)
 
-    # the generator sits inside a plain function so that dt is checked on
-    # the call, before the caller sets up its sample times
-    def advance(x):
+    def walk(x: np.ndarray, rng: np.random.Generator) -> Iterator[int]:
+        step = np.empty_like(x)
         for step_i in count(1):
-            step = root2dt * rng.standard_normal(x.shape)
-            x += step if drift.is_zero else step + drift.at(x) * dt
+            rng.standard_normal(x.shape, out=step)
+            step *= root2dt
+            if not drift.is_zero:
+                move = drift.at(x)
+                move *= dt
+                step += move
+            x += step
             yield step_i
-    return advance(x)
+    return walk
 
 
 def euler_maruyama(drift: DriftField, dt: float, t_end: float, n_paths: int,
                    rng: np.random.Generator,
                    sample_times: np.ndarray | None = None) -> MsdEstimate:
     """Integrate ``n_paths`` trajectories from the origin and record
-    displacement moments at ``sample_times``."""
-    x = np.zeros((n_paths, 2))
-    steps = _steps(drift, dt, x, rng)
+    displacement moments at ``sample_times``.
+
+    The cloud walks in chunks of ``CHUNK_PATHS`` paths on
+    :func:`proxysde.draw_threads` threads: chunk 0 draws from ``rng`` and
+    chunk c from its c-th jump, all opened before any draw, and the chunks'
+    sums and centred M2 are merged in chunk order.  The result is the same
+    for any thread count, and a cloud of one chunk gives numpy's own mean and
+    std(ddof=1) of its walk from ``rng``.
+    """
+    walk = _stepper(drift, dt)
     if sample_times is None:
         sample_times = default_sample_times(dt, t_end)
     sample_times = np.asarray(sample_times, dtype=float)
@@ -141,17 +171,33 @@ def euler_maruyama(drift: DriftField, dt: float, t_end: float, n_paths: int,
     if sample_idx.min() < 1 or len(np.unique(sample_idx)) < len(sample_idx):
         raise ValueError(f"sample times {sample_times.tolist()} must fall on distinct "
                          f"steps of size {dt} after the start")
-    msd = np.empty((2, len(sample_idx)))
-    se = np.empty((2, len(sample_idx)))
     targets = {int(s): j for j, s in enumerate(sample_idx)}
+    sizes = _blocks(n_paths, CHUNK_PATHS)
+    gens = [rng] + [np.random.Generator(rng.bit_generator.jumped(c))
+                    for c in range(1, len(sizes))]
 
-    for step_i in islice(steps, int(sample_idx.max())):
-        j = targets.get(step_i)
-        if j is not None:
-            d2 = x ** 2
-            msd[:, j] = d2.mean(axis=0)
-            se[:, j] = d2.std(axis=0, ddof=1) / np.sqrt(n_paths)
-    est = MsdEstimate(sample_idx * dt, msd, se, n_paths)
+    def run_chunk(c):
+        x = np.zeros((sizes[c], 2))
+        sums = np.empty((2, len(sample_idx)))
+        m2 = np.empty((2, len(sample_idx)))
+        for step_i in islice(walk(x, gens[c]), int(sample_idx.max())):
+            j = targets.get(step_i)
+            if j is not None:
+                d2 = x ** 2           # the passes of numpy's mean and std
+                sums[:, j] = d2.sum(axis=0)
+                d2 -= sums[:, j] / len(x)
+                d2 *= d2
+                m2[:, j] = d2.sum(axis=0)
+        return sums, m2
+
+    sums = np.zeros((2, len(sample_idx)))
+    m2 = np.zeros((2, len(sample_idx)))
+    n = 0
+    for size, (s, q) in zip(sizes, _map_units(run_chunk, range(len(sizes)),
+                                              "path chunk {}")):
+        n = merge_moments(sums, m2, n, s, q, size)
+    se = np.sqrt(m2 / (n_paths - 1)) / np.sqrt(n_paths)
+    est = MsdEstimate(sample_idx * dt, sums / n_paths, se, n_paths)
     est.validate()
     return est
 
@@ -239,8 +285,9 @@ def occupancy_counts(drift: DriftField, dt: float, t_end: float, n_paths: int,
     A divergence-free drift preserves the uniform law, so the counts stay
     multinomial(n_paths, 1/n_cells^2) up to sampling noise.
     """
+    walk = _stepper(drift, dt)
     x = rng.uniform(0.0, drift.grid.box_len, size=(n_paths, 2))
-    for _ in islice(_steps(drift, dt, x, rng), int(round(t_end / dt))):
+    for _ in islice(walk(x, rng), int(round(t_end / dt))):
         pass
     cell = np.floor(x / drift.grid.box_len * n_cells).astype(np.int64) % n_cells
     flat = cell[:, 0] * n_cells + cell[:, 1]

@@ -431,12 +431,7 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleResult:
         for b, n_block in enumerate(_blocks(cfg.n_traj, BLOCK_SIZE)):
             s, m2_b, snaps = _run_block(cfg, x, factors, damps, rec_idx, snap_idx, b,
                                         n_block, pool)
-            if n_done:
-                delta = s / n_block - sums / n_done
-                m2_b += delta ** 2 * (n_done * n_block / (n_done + n_block))
-            m2 += m2_b
-            sums += s
-            n_done += n_block
+            n_done = merge_moments(sums, m2, n_done, s, m2_b, n_block)
             for g, arrs in snaps.items():
                 snap_parts[g].append(arrs)
 
@@ -453,6 +448,20 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleResult:
             "det": np.concatenate([p[1] for p in parts]),
         }
     return EnsembleResult(series, snapshots)
+
+
+def merge_moments(sums: np.ndarray, m2: np.ndarray, n: int, part_sums: np.ndarray,
+                  part_m2: np.ndarray, n_part: int) -> int:
+    """Fold one part's sums and centred M2 of ``n_part`` samples into the
+    running ``sums`` and ``m2`` of ``n`` samples, in place, by the pairwise
+    update of Chan, Golub and LeVeque; returns the merged count.  Merged into
+    zeros (``n`` = 0), a part's own sums and M2 are kept exactly."""
+    if n:
+        delta = part_sums / n_part - sums / n
+        part_m2 = part_m2 + delta ** 2 * (n * n_part / (n + n_part))
+    m2 += part_m2
+    sums += part_sums
+    return n + n_part
 
 
 def truncated_second_moment(samples_f2: np.ndarray, r_hat: float) -> float:

@@ -14,10 +14,10 @@ E2 = np.array([0.0, 1.0])
 
 def _upsample(coef, factor):
     """Spectral zero-padding: the same band-limited realization on a finer grid."""
-    half, m = coef.grid.n // 2, coef.grid.n * factor
+    half, m, w = coef.grid.n // 2, coef.grid.n * factor, coef.psi_hat.shape[1]
     dst = np.zeros((m, m // 2 + 1), dtype=complex)
-    dst[:half, :half + 1] = coef.psi_hat[:half]
-    dst[m - half:, :half + 1] = coef.psi_hat[half:]
+    dst[:half, :w] = coef.psi_hat[:half]
+    dst[m - half:, :w] = coef.psi_hat[half:]
     return co.CoefField(dst * factor ** 2, TorusGrid(m, coef.grid.box_len), coef.eps,
                         coef.l_max)
 

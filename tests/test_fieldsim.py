@@ -90,7 +90,8 @@ class TestSpectralHelper:
         assert np.pi / grid.spacing == pytest.approx(1.0, rel=1e-14)
         ladder = cfg.shells()
         sh = fs.sample_shell_field(grid, ladder[0], ladder[1], 0.66, stream(12, "edge"))
-        assert np.any(sh.coeffs[grid.n // 2] != 0.0) or np.any(sh.coeffs[:, -1] != 0.0)
+        nyquist_column = sh.coeffs.shape[1] == grid.n // 2 + 1 and np.any(sh.coeffs[:, -1])
+        assert np.any(sh.coeffs[grid.n // 2] != 0.0) or nyquist_column
         self._check(grid, sh.values)
 
     def test_one_spectrum_per_order(self):
@@ -132,6 +133,13 @@ class TestSpectralHelper:
                 assert np.max(np.abs(plane - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _full_width(grid, band: np.ndarray) -> np.ndarray:
+    """The half spectrum (n, n/2 + 1) whose first columns are ``band``."""
+    half = np.zeros((grid.n, grid.n // 2 + 1), dtype=complex)
+    half[:, :band.shape[1]] = band
+    return half
+
+
 def _band_spectrum(n: int, cols, seed: int) -> np.ndarray:
     """rfft2 half spectrum of white noise, zero outside the columns ``cols``."""
     full = np.fft.rfft2(stream(seed, "band").standard_normal((n, n)))
@@ -159,6 +167,20 @@ class TestBandLimitedInverse:
         stack = np.stack([half, _band_spectrum(64, slice(0, 3), 21)])
         assert np.array_equal(grid.synthesize(stack), np.fft.irfft2(stack, s=(64, 64)))
         assert np.array_equal(grid.synthesize(half), np.fft.irfft2(half, s=(64, 64)))
+
+    def test_band_equals_its_full_width_spectrum(self):
+        # a stored band and the zero-padded half spectrum it stands for give
+        # the same fields, bit for bit, in the transforms and the driver triple
+        grid = fs.TorusGrid.for_cutoff(8.0, 128, 4.0)
+        sh = fs.sample_shell_field(grid, 1.0, 8.0, 0.4, stream(24, "band"))
+        full = fs.ShellField(grid, _full_width(grid, sh.coeffs))
+        assert sh.coeffs.shape[1] < full.coeffs.shape[1]
+        assert np.array_equal(grid.synthesize(sh.coeffs), grid.synthesize(full.coeffs))
+        assert np.array_equal(grid.derivatives(sh.coeffs, self.ORDERS),
+                              grid.derivatives(full.coeffs, self.ORDERS))
+        got, want = fs.driver_fields(sh, 1.3, 0.02), fs.driver_fields(full, 1.3, 0.02)
+        for name in ("dpsi", "dphi", "grad", "hess", "grad_dpsi"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
     def test_zero_spectrum_makes_no_transform(self, monkeypatch):
         grid = fs.TorusGrid(64, 9.0)
@@ -194,12 +216,18 @@ class TestBandLimitedShell:
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_equals_one_draw_and_rfft2(self, case):
+        # the stored band is the first m columns of the full half spectrum,
+        # which is zero beyond them
         grid, l_lo, l_hi = self.CASES[case]
         got = fs.sample_shell_field(grid, l_lo, l_hi, 0.4, stream(22, case)).coeffs
         want = _reference_shell(grid, l_lo, l_hi, 0.4, stream(22, case))
-        assert got.shape == want.shape and np.array_equal(got, want)
+        m = got.shape[1]
+        assert got.shape[0] == want.shape[0] and np.array_equal(got, want[:, :m])
+        assert not np.any(want[:, m:])
         if case == "nyquist-column":
-            assert np.any(got[:, -1] != 0.0)
+            assert m == want.shape[1] and np.any(got[:, -1] != 0.0)
+        else:
+            assert m < want.shape[1]
 
     def test_row_blocks_draw_one_noise_sequence(self):
         n = 4 * fs._NOISE_ROWS
@@ -222,17 +250,19 @@ class TestShellSampling:
         # the half spectrum, completed by Hermitian symmetry, synthesizes a
         # real field equal to the stored values
         sh = fs.sample_shell_field(small_grid, 2.0, 4.0, 0.4, stream(2, "r"))
-        full = _hermitian_completion(sh.coeffs)
+        full = _hermitian_completion(_full_width(small_grid, sh.coeffs))
         ref = np.fft.ifft2(full)
         assert np.max(np.abs(ref.imag)) <= 1e-13 * np.max(np.abs(ref.real))
         assert np.max(np.abs(sh.values - ref.real)) <= 1e-13 * np.max(np.abs(ref.real))
 
     def test_coefficients_confined_to_annulus(self, small_grid):
+        # the band's columns hold the whole annulus, and nothing outside it
         sh = fs.sample_shell_field(small_grid, 2.0, 4.0, 0.4, stream(3, "a"))
         kx, ky = small_grid.half_wavevectors()
         k2 = kx * kx + ky * ky
         outside = (k2 <= 1.0 / 16.0) | (k2 > 1.0 / 4.0)
-        assert np.all(sh.coeffs[outside] == 0.0)
+        m = sh.coeffs.shape[1]
+        assert np.all(outside[:, m:]) and np.all(sh.coeffs[outside[:, :m]] == 0.0)
 
     def test_disjoint_shells_independent(self, small_grid):
         x = np.array([fs.sample_shell_field(small_grid, 1.0, 2.0, 0.5,

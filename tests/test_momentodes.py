@@ -155,7 +155,10 @@ class TestEnvelope:
         closure = mo.ClosureSource.from_series(mc_series)
         table = mo.integrate_moments(0.2, 4.0, closure, x_eval=mc_series.lambda2)
         env = mo.envelope(0.2, 4.0)
-        assert env.contains(table)
+        b_lo, b_hi, c_lo, c_hi = (np.interp(table.x, env.x, edge) for edge in
+                                  (env.b_low, env.b_high, env.c_low, env.c_high))
+        assert np.all((b_lo <= table.big_b) & (table.big_b <= b_hi)
+                      & (c_lo <= table.det2) & (table.det2 <= c_hi))
 
     def test_adj_closure_respects_operator_norm_rate(self, mc_series):
         # |dC/dx| = q_adj/x <= m_c eps^2 sqrt(B)/x^2 along the Monte Carlo run

@@ -30,6 +30,43 @@ def load_bench_checks():
     return module
 
 
+def _reference_at(drift, pos):
+    """The bilinear lookup on fresh arrays: one weighted gather per corner,
+    added in the order (0, 0), (1, 0), (0, 1), (1, 1)."""
+    n, h = drift.grid.n, drift.grid.spacing
+    u = pos / h
+    i0 = np.floor(u).astype(np.int64)
+    frac = u - i0
+    i0 %= n
+    i1 = (i0 + 1) % n
+    fx, fy = frac[:, 0], frac[:, 1]
+    gx, gy = 1 - fx, 1 - fy
+    w00, w10, w01, w11 = gx * gy, fx * gy, gx * fy, fx * fy
+    r0, r1, c0, c1 = i0[:, 0] * n, i1[:, 0] * n, i0[:, 1], i1[:, 1]
+    k00, k10, k01, k11 = r0 + c0, r1 + c0, r0 + c1, r1 + c1
+    out = np.empty_like(pos)
+    for c, bc in enumerate(drift.b.reshape(2, -1)):
+        out[:, c] = (w00 * bc.take(k00) + w10 * bc.take(k10)
+                     + w01 * bc.take(k01) + w11 * bc.take(k11))
+    return out
+
+
+def _reference_squares(drift, dt, n_paths, rng, sample_idx):
+    """Squared displacements of one cloud walked from one generator, with
+    fresh arrays per step, at each step of ``sample_idx``."""
+    x = np.zeros((n_paths, 2))
+    for i in range(1, int(sample_idx.max()) + 1):
+        step = np.sqrt(2.0 * dt) * rng.standard_normal(x.shape)
+        x += step if drift.is_zero else step + _reference_at(drift, x) * dt
+        if i in sample_idx:
+            yield x ** 2
+
+
+def _random_drift(n, box_len, seed, scale=1.0):
+    return pa.DriftField(scale * stream(seed, "drift").standard_normal((2, n, n)),
+                         TorusGrid(n, box_len))
+
+
 @pytest.fixture(scope="module")
 def drift_env():
     grid = TorusGrid.for_cutoff(16.0, 512, 2.0)
@@ -60,9 +97,9 @@ class TestDriftField:
         b = drift_env.at(np.array([[0.3 + 5 * box, 0.7 - 3 * box]]))
         assert np.allclose(a, b, atol=1e-9)
 
-    def test_build_peak_memory_below_twice_the_drift(self):
-        # the build's spectra are transformed on their occupied columns only,
-        # so its transients stay below the size of the drift it returns
+    def test_build_peak_memory_below_five_fourths_of_the_drift(self):
+        # the build's spectra are stored and transformed as their occupied
+        # band only, so its transients stay below a quarter of the drift
         grid = TorusGrid.for_cutoff(32.0, 1024, 2.0)
         tracemalloc.start()
         try:
@@ -71,7 +108,68 @@ class TestDriftField:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * drift.b.nbytes
+        assert peak < 1.25 * drift.b.nbytes
+
+
+class TestLean:
+    """The in-place lookup and step against fresh-array references, bit for bit."""
+
+    @pytest.mark.parametrize("n", [32, 2048])
+    def test_lookup_equals_reference(self, n):
+        drift = _random_drift(n, 20.0 * n / 32, 7)
+        h, box = drift.grid.spacing, drift.grid.box_len
+        gen = stream(8, "lookup")
+        pos = np.concatenate([
+            gen.uniform(-3.0 * box, 4.0 * box, (3000, 2)),   # negative and beyond the box
+            gen.integers(-2 * n, 3 * n, (300, 2)) * h,        # on cell edges
+            [[0.0, -0.0], [box, -box], [-h, (n - 1) * h], [-1e-300, 3.0 * box]]])
+        assert np.array_equal(drift.at(pos), _reference_at(drift, pos))
+        # the thread's buffers follow the number of positions
+        assert np.array_equal(drift.at(pos[:5]), _reference_at(drift, pos[:5]))
+        assert np.array_equal(drift.at(pos), _reference_at(drift, pos))
+
+    @pytest.mark.parametrize("n_paths", [1000, pa.CHUNK_PATHS])
+    @pytest.mark.parametrize("zero", [False, True])
+    def test_one_chunk_equals_one_stream_walk(self, n_paths, zero):
+        drift = pa.DriftField.zero(TorusGrid(32, 20.0)) if zero \
+            else _random_drift(32, 20.0, 9, scale=0.5)
+        times = pa.default_sample_times(0.1, 3.0, 5)
+        est = pa.euler_maruyama(drift, 0.1, 3.0, n_paths, stream(10, "one"),
+                                sample_times=times)
+        idx = np.round(times / 0.1).astype(np.int64)
+        for j, d2 in enumerate(_reference_squares(drift, 0.1, n_paths,
+                                                  stream(10, "one"), idx)):
+            assert np.array_equal(est.msd[:, j], d2.mean(axis=0))
+            assert np.array_equal(est.se[:, j], d2.std(axis=0, ddof=1) / np.sqrt(n_paths))
+
+    def test_chunks_same_for_any_thread_count(self, monkeypatch):
+        # four chunks of one field, walked concurrently on frequent thread
+        # switches; chunk c draws from the c-th jump of the stream
+        monkeypatch.setattr(pa, "CHUNK_PATHS", 1000)
+        drift = _random_drift(32, 20.0, 11, scale=0.5)
+        times = pa.default_sample_times(0.1, 3.0, 5)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 2, 3):
+                monkeypatch.setattr(proxysde, "draw_threads", lambda n=threads: n)
+                runs.append(pa.euler_maruyama(drift, 0.1, 3.0, 3500, stream(12, "chunks"),
+                                              sample_times=times))
+        finally:
+            sys.setswitchinterval(interval)
+        for est in runs[1:]:
+            assert np.array_equal(est.msd, runs[0].msd) and np.array_equal(est.se, runs[0].se)
+        gens = [stream(12, "chunks")]
+        gens += [np.random.Generator(gens[0].bit_generator.jumped(c)) for c in (1, 2, 3)]
+        idx = np.round(times / 0.1).astype(np.int64)
+        walks = [_reference_squares(drift, 0.1, size, g, idx)
+                 for size, g in zip((1000, 1000, 1000, 500), gens)]
+        for j, parts in enumerate(zip(*walks)):
+            d2 = np.concatenate(parts)
+            assert np.allclose(runs[0].msd[:, j], d2.mean(axis=0), rtol=1e-13, atol=0.0)
+            assert np.allclose(runs[0].se[:, j], d2.std(axis=0, ddof=1) / np.sqrt(3500),
+                               rtol=1e-11, atol=0.0)
 
 
 class TestPureDiffusion:
