@@ -253,15 +253,21 @@ class BoundTerms:
     tau: float
 
 
-def _tau_grid(tau: float, n_tau: int) -> np.ndarray:
+#: points of the front tau' grid of :func:`bound_terms` (its terminal layer
+#: takes half as many), and of each scan for a supremum
+N_TAU = 200
+N_SCAN = 800
+
+
+def _tau_grid(tau: float) -> np.ndarray:
     """Composite grid resolving the e^{-tau'/2} weight and the terminal layer."""
-    front = np.linspace(0.0, min(tau, 50.0), n_tau)
-    back = np.linspace(max(0.0, tau - 5.0), tau, n_tau // 2)
+    front = np.linspace(0.0, min(tau, 50.0), N_TAU)
+    back = np.linspace(max(0.0, tau - 5.0), tau, N_TAU // 2)
     return np.unique(np.concatenate([front, back, [tau]]))
 
 
-def bound_terms(cfg: TailConfig, n_tau: int = 200, n_scan: int = 800) -> BoundTerms:
-    """Evaluate the two integral remainder terms of the moment bound.
+def bound_terms(cfg: TailConfig) -> BoundTerms:
+    """Estimate the two integral remainder terms of the moment bound.
 
     In the original coordinates,
 
@@ -271,10 +277,12 @@ def bound_terms(cfg: TailConfig, n_tau: int = 200, n_scan: int = 800) -> BoundTe
     with r d^2 zeta/dr^2 = e^{-tau'/2} (d/dsig + 1) dzhat/dsig and
     d zeta/dr = e^{-tau'/2} (d/dsig + 1) zhat; the suprema are scanned over
     the region where the evolved ramp varies (to the left the profile is the
-    constant 1, contributing exactly 1 to the second supremum).
+    constant 1, contributing exactly 1 to the second supremum).  Both are
+    estimates: each supremum is the largest value on a scan of ``N_SCAN``
+    points, and the tau' integrals are trapezoid sums.
     """
     ramp = RampEvolution(cfg.sigma_hat)
-    taus = _tau_grid(cfg.tau, n_tau)
+    taus = _tau_grid(cfg.tau)
     f1 = np.empty_like(taus)
     f2 = np.empty_like(taus)
     for i, tp in enumerate(taus):
@@ -282,7 +290,7 @@ def bound_terms(cfg: TailConfig, n_tau: int = 200, n_scan: int = 800) -> BoundTe
         std = np.sqrt(max(s, 1e-12) / 2.0)
         lo = cfg.sigma_hat - s / 4.0 - 8.0 * std - 1.0
         hi = cfg.sigma_hat + 1.0 - s / 4.0 + 8.0 * std + 1.0
-        sig = np.linspace(lo, hi, n_scan)
+        sig = np.linspace(lo, hi, N_SCAN)
         value, d1, d2 = ramp._evaluate(s, sig)
         m21 = np.max(np.abs(d2 + d1))
         m10 = max(np.max(np.abs(d1 + value)), 1.0)
@@ -325,15 +333,15 @@ class TailReport:
     z0: float
     i1: float
     i2: float
-    rhs: float
+    rhs: float              # estimate: scanned suprema, trapezoid tau' integrals
     chain_ok: bool
     regime_ok: bool
     warnings: list = field(default_factory=list)
 
 
 def verify_tail(samples_f2: np.ndarray, eps: float, lambda2: float,
-                margin: float = 0.1, **cfg_kwargs) -> TailReport:
-    """Check the full chain: truncated moment <= E zeta <= analytic bound.
+                margin: float = 0.1) -> TailReport:
+    """Check the full chain: truncated moment <= E zeta <= estimated bound.
 
     The left side is the Monte Carlo truncated second moment at the relative
     threshold built from ``margin``; the middle is the sampled expectation of
@@ -344,8 +352,10 @@ def verify_tail(samples_f2: np.ndarray, eps: float, lambda2: float,
         c2 = 1/2 K3,
 
     assembled from the determinant envelope and the corrector-moment bound.
-    A threshold outside the admissible smallness regime downgrades to a
-    warning rather than a failure.
+    The right side is an estimate, not a certified bound: the remainder
+    integrals of :func:`bound_terms` take their suprema from a fixed scan
+    and integrate over tau' by the trapezoid rule.  A threshold outside the
+    admissible smallness regime downgrades to a warning, not a failure.
     """
     samples_f2 = np.asarray(samples_f2, dtype=float)
     if samples_f2.size == 0:
@@ -358,7 +368,7 @@ def verify_tail(samples_f2: np.ndarray, eps: float, lambda2: float,
     # anchor the observable's plateau to the measured threshold so that
     # zeta(tau, r) >= (r/lam) 1(r <= threshold) holds pointwise
     cfg = TailConfig(float(np.log(lambda2)),
-                     float(np.log(r_rel * mean_f2 / lam)), **cfg_kwargs)
+                     float(np.log(r_rel * mean_f2 / lam)))
 
     ramp = RampEvolution(cfg.sigma_hat)
     zeta_vals = ramp.observable_values(cfg.tau, cfg.tau, samples_f2)

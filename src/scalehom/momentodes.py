@@ -121,8 +121,7 @@ class MomentTable:
 
 
 def integrate_moments(eps: float, x_end: float, closure: ClosureSource,
-                      x_eval: np.ndarray | None = None,
-                      rtol: float = 1e-10) -> MomentTable:
+                      x_eval: np.ndarray | None = None) -> MomentTable:
     """Adaptive embedded Runge-Kutta integration of the moment system."""
     if x_end <= 1.0:
         raise ValueError("x_end must exceed 1")
@@ -130,7 +129,7 @@ def integrate_moments(eps: float, x_end: float, closure: ClosureSource,
         x_eval = np.linspace(1.0, x_end, 201)
     y0 = np.array([0.0, 0.0, 2.0, 4.0, 1.0, 1.0])
     sol = solve_ivp(rhs, (1.0, x_end), y0, t_eval=x_eval, args=(eps, closure),
-                    method="RK45", rtol=rtol, atol=1e-14, max_step=x_end - 1.0)
+                    method="RK45", rtol=1e-10, atol=1e-14, max_step=x_end - 1.0)
     if not sol.success:
         raise FloatingPointError(f"moment integration failed: {sol.message}")
     return MomentTable(eps, sol.t, *sol.y)

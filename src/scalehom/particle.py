@@ -248,7 +248,6 @@ class AnnealedMsd:
 
 def annealed_msd(eps: float, l_max: float, n: int, dt: float, t_end: float,
                  n_envs: int, paths_per_env: int, seed: int = 0,
-                 box_mult: float = 2.0,
                  sample_times: np.ndarray | None = None) -> AnnealedMsd:
     """Average the displacement curve over drift environments.
 
@@ -256,7 +255,7 @@ def annealed_msd(eps: float, l_max: float, n: int, dt: float, t_end: float,
     noise from counter-based streams; errors are taken across environments,
     which dominate the path-sampling noise at these sizes.
     """
-    grid = TorusGrid.for_cutoff(l_max, n, box_mult)
+    grid = TorusGrid.for_cutoff(l_max, n, 2.0)
     if sample_times is None:
         sample_times = default_sample_times(dt, t_end)
     per_env = np.empty((n_envs, 2, len(sample_times)))

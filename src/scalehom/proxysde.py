@@ -479,15 +479,15 @@ def truncated_second_moment(samples_f2: np.ndarray, r_hat: float) -> float:
 
 
 def coupled_refinement(eps: float, lambda2_max: float, base_steps: int,
-                       n_traj: int, seed: int = 0, levels: tuple = (1, 2, 4),
-                       mode: str = "full", block_size: int = 4096
+                       n_traj: int, seed: int = 0, levels: tuple = (1, 2, 4)
                        ) -> dict[int, dict[str, float]]:
     """Common-noise refinement study for the weak convergence of the scheme.
 
     Simulates the finest grid once and aggregates its raw increments onto
     each coarser grid, so level differences are dominated by the O(dlam2)
     weak error rather than Monte Carlo noise.  Returns, per refinement
-    factor, the final E|F|^2 and the variance of det F.
+    factor, the final E|F|^2 and the variance of det F.  It steps the full
+    scheme in blocks of 4096 trajectories, whose indices key its streams.
     """
     finest = max(levels)
     if any(finest % lv for lv in levels):
@@ -498,7 +498,7 @@ def coupled_refinement(eps: float, lambda2_max: float, base_steps: int,
                 for i in range(n_fine)]
     acc = {lv: np.zeros(3) for lv in levels}
 
-    for b, nb in enumerate(_blocks(n_traj, block_size)):
+    for b, nb in enumerate(_blocks(n_traj, 4096)):
         states = {lv: _initial_planes(nb) for lv in levels}
         agg = {lv: np.zeros((11, nb)) for lv in levels}
         vec = np.empty((nb, 12))
@@ -515,7 +515,7 @@ def coupled_refinement(eps: float, lambda2_max: float, base_steps: int,
                 agg[lv] += np.repeat([w_phi, 1.0, w_hess], [2, 3, 6])[:, None] * planes
                 if i + 1 == i_hi:
                     damp = np.exp(-(x_fine[i_hi] - x_fine[i_lo]) / eps ** 2)
-                    euler_update(*states[lv], agg[lv], damp, mode == "full")
+                    euler_update(*states[lv], agg[lv], damp)
                     agg[lv][:] = 0.0
         for lv in levels:
             f = states[lv][1]

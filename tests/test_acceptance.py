@@ -5,17 +5,89 @@ they complete; the heavy Monte Carlo ensembles are shared between criteria
 through module-level memoization.
 """
 
+import math
+
 import numpy as np
 
 from scalehom import acceptance, proxysde
+from scalehom.acceptance import Check, CriterionResult
+
+#: the checked quantities of each criterion, as ``accept.json`` reports them;
+#: every other detail is a reported value that does not decide the verdict
+CHECK_KEYS = {
+    "algebra suite": {"basis_tables_exact", "contraction_max_dev",
+                      "aux_pair_total_dev"},
+    "covariance consistency": {"diamond_form_dev", "bullet_form_dev",
+                               "cross_block_vs_quadrature", "min_eigenvalue"},
+    "mc vs ode": {"worst_checkpoint_z", "worst_det_z"},
+    "exact-integral asymptotics": {"a_ratio", "b_ratio", "A_ratio"},
+    "fourth-moment asymptotic": {"combo_dev", "B_over_limit"},
+    "determinant concentration": {"det_variance"},
+    "non-equi-integrability": {"ratio_at_25", "monotone_nonincreasing",
+                               "chain_holds", "wide_margin_chain"},
+    "kolmogorov solver": {"semigroup_dev", "phi_bound_violation",
+                          "max_i1_sqrt_tau"},
+    "field-mode checks": {"band_variance_ratio", "accumulated_qv_ratio",
+                          "trace_relation_dev", "skew_relation_dev",
+                          "worst_moment_z"},
+    "corrector": {"lambda_min", "frobenius_identity_dev", "det_mean_dev",
+                  "perturbative_ratio"},
+    "particle": {"slope_rel_dev", "enhancement_floor",
+                 "ratio_minus_one_with_slack"},
+}
 
 
 def _check(result):
     print(result.line())
-    for key, val in result.details.items():
-        if isinstance(val, tuple) and len(val) == 2:
-            print(f"    {key}: value={val[0]:.6g} threshold={val[1]}")
+    checks = {key: val for key, val in result.details.items()
+              if isinstance(val, Check)}
+    for key, (value, threshold) in checks.items():
+        print(f"    {key}: value={value:.6g} threshold={threshold}")
+    assert set(checks) == CHECK_KEYS[result.name]
     assert result.passed, result.details
+
+
+def test_check_keys_cover_the_gate():
+    assert len(CHECK_KEYS) == len(acceptance.ALL_CRITERIA) == 11
+    assert sum(map(len, CHECK_KEYS.values())) == 34
+
+
+def test_verdict_needs_a_check():
+    assert not CriterionResult("empty", 0.0).passed
+    res = CriterionResult("reported only", 0.0, {"ratio": 1.0, "pair": (0.0, 1.0)})
+    assert not res.passed
+    assert res.payload()["pass"] is False
+
+
+def test_nan_value_fails():
+    for threshold in (1.0, (0.0, 1.0)):
+        res = CriterionResult("nan", 0.0, {"ok": Check(0.5, 1.0),
+                                           "bad": Check(math.nan, threshold)})
+        assert not res.passed
+        out = res.payload()
+        assert out["bad"]["pass"] is False and out["ok"]["pass"] is True
+        assert out["pass"] is False
+
+
+def test_window_threshold():
+    window = (0.9, 1.1)
+    for value, inside in ((0.9, True), (1.0, True), (1.1, True),
+                          (0.89, False), (1.11, False)):
+        res = CriterionResult("window", 0.0, {"ratio": Check(value, window)})
+        assert res.passed is inside
+        assert res.payload()["ratio"] == {"value": value, "threshold": window,
+                                          "pass": inside}
+
+
+def test_reported_values_never_decide():
+    # a plain pair is a reported value, however it compares
+    passing = CriterionResult("p", 0.0, {"dev": Check(0.0, 1e-12), "ratio": 1e9,
+                                         "pair": (5.0, 1.0), "nan": math.nan})
+    assert passing.passed
+    assert passing.payload()["pair"] == {"value": (5.0, 1.0)}
+    failing = CriterionResult("f", 0.0, {"dev": Check(1.0, 1e-12), "ratio": 0.0,
+                                         "pair": (0.0, 1.0)})
+    assert not failing.passed
 
 
 def test_criterion_01_algebra_suite():
@@ -88,7 +160,7 @@ def test_intermittency_peak_bulk_separation():
     # normalized |F|^2 develops a bulk well below its mean: the median-to-mean
     # ratio decreases across scales (frozen Monte Carlo oracle values:
     # 0.79, 0.69, 0.61, 0.56 at lam2 = 4, 9, 16, 25 for eps = 0.2)
-    res = acceptance._run_tail_ensemble()   # criterion 7's cached run
+    res = acceptance._ensemble("tail")   # criterion 7's cached run
     medians = []
     for lam2 in (9.0, 16.0, 25.0):
         f2 = res.snapshots[lam2]["f2"]

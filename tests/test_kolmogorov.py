@@ -191,10 +191,12 @@ class TestBoundTerms:
                 for t in (4.0, 25.0, 100.0, 400.0)]
         assert max(vals) < 5.0
 
-    def test_grid_refinement_insensitive(self):
+    def test_grid_refinement_insensitive(self, monkeypatch):
         cfg = ko.TailConfig(tau=25.0, sigma_hat=-1.0)
-        a = ko.bound_terms(cfg, n_tau=200, n_scan=800)
-        b = ko.bound_terms(cfg, n_tau=400, n_scan=1600)
+        a = ko.bound_terms(cfg)
+        monkeypatch.setattr(ko, "N_TAU", 2 * ko.N_TAU)
+        monkeypatch.setattr(ko, "N_SCAN", 2 * ko.N_SCAN)
+        b = ko.bound_terms(cfg)
         assert abs(a.i1 / b.i1 - 1.0) < 0.01
         assert abs(a.i2 / b.i2 - 1.0) < 0.01
 
