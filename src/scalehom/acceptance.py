@@ -349,8 +349,7 @@ def criterion_11_particle():
                                sample_times=times)
     enh = lo.total / (4.0 * times)
     enh_floor = float(np.min(enh + 3.0 * lo.total_se / (4.0 * times)))
-    ratio, se, t_cmp = particle.msd_growth_ratio(lo.as_estimate(),
-                                                 hi.as_estimate(), 16.0)
+    ratio, se, t_cmp = particle.msd_growth_ratio(lo, hi, 16.0)
     details = {"slope_rel_dev": Check(slope_dev, 0.01),
                "enhancement_floor": Check(-(enh_floor - 1.0), 0.0),
                "ratio_minus_one_with_slack": Check(-(ratio - 1.0 + 3.0 * se), 0.0),

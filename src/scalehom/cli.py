@@ -71,7 +71,7 @@ SCHEMA = {
         "snapshot_points": ("", str, _entries("a comma list of numbers", empty_ok=True)),
     },
     "ode": {
-        "eps": ("0.2", float, _NONNEG),
+        "eps": ("0.2", float, _POS),
         "x_end": ("4.0", float, _GT1),
         "n_points": ("201", int, ("at least 2", lambda v: v >= 2)),
     },
@@ -275,7 +275,7 @@ def run_ode(sec, seed):
     env = momentodes.envelope(sec["eps"], sec["x_end"])
     bounds = [np.interp(xs, env.x, col)
               for col in (env.b_low, env.b_high, env.c_low, env.c_high)]
-    ln_l = (xs - 1.0) / sec["eps"] ** 2 if sec["eps"] > 0 else np.zeros_like(xs)
+    ln_l = (xs - 1.0) / sec["eps"] ** 2
     header = ["lambda2", "ln_l", "E_phi2_resc", "E_phi4_resc", "E_f2", "E_f4",
               "E_det", "E_det2", "env_f4_low", "env_f4_high", "env_det2_low",
               "env_det2_high"]
@@ -340,7 +340,7 @@ def run_particle(sec, seed):
     for i, (l_max, n) in enumerate(zip(ls, ns)):
         est = particle.annealed_msd(sec["eps"], l_max, n, sec["dt"], sec["t_end"],
                                     sec["n_envs"], sec["paths_per_env"],
-                                    seed=seed + i, sample_times=times).as_estimate()
+                                    seed=seed + i, sample_times=times)
         estimates.append(est)
         rows = [[times[j], *est.msd[:, j], *est.se[:, j]] for j in range(len(times))]
         outputs[f"msd_L{l_max:g}.csv"] = Csv(["t", "msd_x", "msd_y", "se_x", "se_y"], rows)

@@ -202,13 +202,16 @@ def euler_maruyama(drift: DriftField, dt: float, t_end: float, n_paths: int,
     return est
 
 
-def msd_growth_ratio(est_small: MsdEstimate, est_large: MsdEstimate,
+def msd_growth_ratio(est_small: MsdEstimate | AnnealedMsd,
+                     est_large: MsdEstimate | AnnealedMsd,
                      l_small: float) -> tuple[float, float, float]:
     """Enhancement ratio between two infrared ranges.
 
     Compares total MSD at the largest common time not exceeding ``l_small^2``
     (beyond which the smaller-range run has saturated its enhancement);
-    returns (ratio, standard error, comparison time).
+    returns (ratio, standard error, comparison time).  The error propagates
+    each run's ``total_se``, which for an annealed run is the spread of the
+    environments' totals and so keeps the x-y covariance within them.
     """
     common = np.intersect1d(np.round(est_small.times, 9), np.round(est_large.times, 9))
     common = common[common <= l_small ** 2]
@@ -241,9 +244,6 @@ class AnnealedMsd:
     def total_se(self) -> np.ndarray:
         env_tot = self.per_env.sum(axis=1)
         return env_tot.std(axis=0, ddof=1) / np.sqrt(len(self.per_env))
-
-    def as_estimate(self) -> MsdEstimate:
-        return MsdEstimate(self.times, self.msd, self.se, len(self.per_env))
 
 
 def annealed_msd(eps: float, l_max: float, n: int, dt: float, t_end: float,

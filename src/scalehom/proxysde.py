@@ -337,16 +337,16 @@ def _initial_planes(*shape: int) -> tuple[np.ndarray, np.ndarray]:
     return np.zeros((2, *shape)), f
 
 
-def _normals(pool, seed: int, label: str, block: int, n_steps: int, n_rows: int):
+def _normals(pool, seed: int, block: int, n_steps: int, n_rows: int):
     """Each step's ``(n_rows, shellcov.RANK)`` standard normals, step ``i``
-    from ``stream(seed, label, block, counter=i)``.  With a pool, its threads
+    from ``stream(seed, "proxy-sde", block, counter=i)``.  With a pool, its threads
     draw steps i+1 ... i+DRAW_AHEAD into a ring of DRAW_AHEAD + 1 buffers
     while the caller uses step i."""
     shape = (n_rows, shellcov.RANK)
     ring = np.empty((1 if pool is None else DRAW_AHEAD + 1, *shape))
 
     def draw(i):
-        return stream(seed, label, block, counter=i).standard_normal(
+        return stream(seed, "proxy-sde", block, counter=i).standard_normal(
             shape, out=ring[i % len(ring)])
 
     if pool is None:
@@ -363,7 +363,7 @@ def _normals(pool, seed: int, label: str, block: int, n_steps: int, n_rows: int)
 def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_block,
                pool):
     phi, f = _initial_planes(n_block)
-    normals = _normals(pool, cfg.seed, "proxy-sde", block, cfg.n_steps, n_block)
+    normals = _normals(pool, cfg.seed, block, cfg.n_steps, n_block)
     vec = np.empty((n_block, 12))
     buf = np.empty((9, n_block))
     sums = np.zeros((len(rec_idx), 9))
@@ -476,58 +476,3 @@ def truncated_second_moment(samples_f2: np.ndarray, r_hat: float) -> float:
         raise ValueError("empty sample set")
     mean = samples_f2.mean()
     return float(np.sum(samples_f2[samples_f2 <= r_hat * mean]) / samples_f2.sum())
-
-
-def coupled_refinement(eps: float, lambda2_max: float, base_steps: int,
-                       n_traj: int, seed: int = 0, levels: tuple = (1, 2, 4)
-                       ) -> dict[int, dict[str, float]]:
-    """Common-noise refinement study for the weak convergence of the scheme.
-
-    Simulates the finest grid once and aggregates its raw increments onto
-    each coarser grid, so level differences are dominated by the O(dlam2)
-    weak error rather than Monte Carlo noise.  Returns, per refinement
-    factor, the final E|F|^2 and the variance of det F.  It steps the full
-    scheme in blocks of 4096 trajectories, whose indices key its streams.
-    """
-    finest = max(levels)
-    if any(finest % lv for lv in levels):
-        raise ValueError("levels must divide the finest refinement")
-    n_fine = base_steps * finest
-    x_fine = np.linspace(1.0, lambda2_max, n_fine + 1)
-    fine_cfg = [shellcov.step_covariance(x_fine[i], x_fine[i + 1], eps).factor()
-                for i in range(n_fine)]
-    acc = {lv: np.zeros(3) for lv in levels}
-
-    for b, nb in enumerate(_blocks(n_traj, 4096)):
-        states = {lv: _initial_planes(nb) for lv in levels}
-        agg = {lv: np.zeros((11, nb)) for lv in levels}
-        vec = np.empty((nb, 12))
-        for i, z in enumerate(_normals(None, seed, "proxy-refine", b, n_fine, nb)):
-            shellcov.gaussian_from_factor(fine_cfg[i], z, vec)
-            planes = np.array(shellcov.components_to_fields(vec))
-            for lv in levels:
-                stride = finest // lv
-                i_lo = (i // stride) * stride
-                i_hi = i_lo + stride
-                # raw-variable aggregation onto the coarse step [x_lo, x_hi]
-                w_phi = np.exp((x_fine[i + 1] - x_fine[i_hi]) / eps ** 2)
-                w_hess = np.exp(-(x_fine[i] - x_fine[i_lo]) / eps ** 2)
-                agg[lv] += np.repeat([w_phi, 1.0, w_hess], [2, 3, 6])[:, None] * planes
-                if i + 1 == i_hi:
-                    damp = np.exp(-(x_fine[i_hi] - x_fine[i_lo]) / eps ** 2)
-                    euler_update(*states[lv], agg[lv], damp)
-                    agg[lv][:] = 0.0
-        for lv in levels:
-            f = states[lv][1]
-            det = f[0, 0] * f[1, 1] - f[0, 1] * f[1, 0]
-            acc[lv] += [np.sum(f * f), np.sum(det), np.sum(det * det)]
-
-    out = {}
-    for lv in levels:
-        e_f2 = acc[lv][0] / n_traj
-        e_det = acc[lv][1] / n_traj
-        e_det2 = acc[lv][2] / n_traj
-        out[lv] = {"e_f2": float(e_f2), "e_det": float(e_det),
-                   "var_det": float(e_det2 - e_det ** 2)}
-    return out
-

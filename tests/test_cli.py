@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from scalehom import cli, proxysde, shellcov
+from scalehom import cli, particle, proxysde, shellcov
 
 
 def small_config(tmp_path, **overrides):
@@ -105,6 +105,14 @@ class TestDispatch:
 
     def test_unreadable_config(self):
         assert cli.dispatch(["sde-run", "--config", "/nonexistent.cfg"]) == 1
+
+    def test_zero_ode_eps_is_a_config_error(self, tmp_path, capsys):
+        # ln L = (lam2 - 1) / eps^2: the moment flow has no eps = 0 case
+        out = tmp_path / "out"
+        path = small_config(tmp_path, ode={"eps": 0.0})
+        assert cli.dispatch(["ode-run", "--config", str(path), "--out", str(out)]) == 1
+        assert "[ode] eps = " in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, key", [
         (["tail-check", "--sigma-hat", "x"], "sigma_hat"),
@@ -295,6 +303,27 @@ class TestOtherCommands:
         assert code == 0
         data = np.genfromtxt(out / "msd_L4.csv", delimiter=",", names=True)
         assert np.all(data["msd_x"] > 0.0)
+
+    def test_particle_ratio_se_from_environment_totals(self, tmp_path):
+        # the error of the growth ratio is that of each run's total MSD over
+        # its environments, which keeps the x-y covariance within them
+        path = small_config(tmp_path, particle={"l_list": "4, 8", "n_list": "64, 64",
+                                                "n_envs": 3})
+        out = tmp_path / "part"
+        assert cli.dispatch(["particle-run", "--config", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "particle_summary.json").read_text())
+        cfg = cli.RunConfig.load(str(path))
+        sec = cfg["particle"]
+        times = particle.default_sample_times(sec["dt"], sec["t_end"])
+        lo, hi = (particle.annealed_msd(sec["eps"], l_max, 64, sec["dt"], sec["t_end"],
+                                        3, sec["paths_per_env"],
+                                        seed=cfg["run"]["seed"] + i, sample_times=times)
+                  for i, l_max in enumerate((4.0, 8.0)))
+        j = int(np.argmin(np.abs(times - summary["compare_time"])))
+        ratio = hi.total[j] / lo.total[j]
+        se = ratio * np.hypot(lo.total_se[j] / lo.total[j], hi.total_se[j] / hi.total[j])
+        assert summary["growth_ratio"] == ratio
+        assert summary["ratio_se"] == pytest.approx(se, rel=1e-12)
 
     def test_field_run(self, tmp_path):
         path = small_config(tmp_path, field={"box_mult": 2.0})

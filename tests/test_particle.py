@@ -273,7 +273,7 @@ class TestGrowthRatio:
                              paths_per_env=4096, seed=8, sample_times=times)
         hi = pa.annealed_msd(0.4, 32.0, 1024, 0.1, 100.0, n_envs=6,
                              paths_per_env=4096, seed=9, sample_times=times)
-        r, se, _ = pa.msd_growth_ratio(lo.as_estimate(), hi.as_estimate(), 8.0)
+        r, se, _ = pa.msd_growth_ratio(lo, hi, 8.0)
         assert r > 1.0 - 3.0 * se
 
 

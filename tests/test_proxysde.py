@@ -1,5 +1,6 @@
 """Trajectory stepping, ensemble moments, and scheme-convergence checks."""
 
+import functools
 import math
 import os
 import sys
@@ -505,13 +506,79 @@ class TestTruncatedMoment:
             proxysde.truncated_second_moment(np.array([]), 1.0)
 
 
+def exact_second_moments(cfg):
+    """Final E|phi/L|^2, E|F|^2 and E det F of the Euler scheme of
+    ``run_ensemble`` for ``cfg``, exactly, with no sampling.
+
+    One step maps Y = (1, phi^0, phi^1, F00, F01, F10, F11) to
+    (B_0 + sum_a z_a B_a) Y, with z the step's ``shellcov.RANK`` standard
+    normals: ``euler_update`` applied to the states 0, e_1 ... e_6 with the
+    zero increment and with each factor column gives the affine maps B_0 and
+    B_0 + B_a.  So S = E[Y Y^T] follows S <- B_0 S B_0^T + sum_a B_a S B_a^T.
+    """
+    _, factors, damps = proxysde._prepare_steps(cfg)
+    basis = np.zeros((6, 7, 1 + shellcov.RANK))     # (state entry, state, increment)
+    basis[np.arange(6), np.arange(1, 7)] = 1.0
+    y = np.array([1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0])
+    s, b = np.outer(y, y), np.zeros((1 + shellcov.RANK, 7, 7))
+    for fac, damp in zip(factors, damps):
+        st = basis.copy()
+        inc = shellcov.components_to_fields(np.vstack([np.zeros(12), fac.T]))
+        proxysde.euler_update(st[:2], st[2:].reshape(2, 2, *st.shape[1:]), inc, damp,
+                              cfg.mode == "full")
+        b[:, 0, 0] = 1.0
+        b[:, 1:, 0] = st[:, 0].T
+        b[:, 1:, 1:] = (st[:, 1:] - st[:, :1]).transpose(2, 0, 1)
+        b[1:] -= b[0]
+        s = np.einsum("aij,jk,alk->il", b, s, b)
+    return {"phi2_resc": s[1, 1] + s[2, 2], "f2": np.trace(s[3:, 3:]),
+            "det": s[3, 6] - s[4, 5]}
+
+
+@functools.lru_cache(maxsize=None)
+def final_moments(mode, weighting):
+    """The run the exact second moments are checked against, and its config."""
+    cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=2.0, n_steps=50, n_traj=40_000,
+                             seed=3, mode=mode, lambda2_weighting=weighting,
+                             record_stride=50)
+    return cfg, proxysde.run_ensemble(cfg).series
+
+
+def worst_z(series, exact):
+    return max(abs(series.column(k)[-1] - v) / series.se(k)[-1] for k, v in exact.items())
+
+
+class TestExactSecondMoments:
+    @pytest.mark.parametrize("mode", ["full", "exp"])
+    @pytest.mark.parametrize("weighting", ["exact", "midpoint-frozen"])
+    def test_ensemble_within_z_band(self, mode, weighting):
+        cfg, series = final_moments(mode, weighting)
+        exact = exact_second_moments(cfg)
+        assert exact["det"] == pytest.approx(1.0, abs=1e-13)
+        assert worst_z(series, exact) < 4.0
+
+    def test_wrong_factor_leaves_band(self, monkeypatch):
+        cfg, series = final_moments("full", "exact")
+        factor = shellcov.DriverCovariance.factor
+        monkeypatch.setattr(shellcov.DriverCovariance, "factor",
+                            lambda self: 1.05 * factor(self))
+        assert worst_z(series, exact_second_moments(cfg)) > 4.0
+
+
 class TestSchemeConvergence:
-    def test_weak_order_one_richardson(self):
-        out = proxysde.coupled_refinement(0.5, 2.0, base_steps=16, n_traj=120_000,
-                                          seed=5, levels=(1, 2, 4))
-        d1 = out[1]["e_f2"] - out[2]["e_f2"]
-        d2 = out[2]["e_f2"] - out[4]["e_f2"]
-        assert 1.5 <= d1 / d2 <= 2.5
+    @pytest.mark.parametrize("eps, lambda2_max, steps", [
+        (0.5, 2.0, (16, 32, 64, 128)),
+        (0.2, 4.0, (100, 200, 400, 800)),
+    ])
+    def test_weak_order_one(self, eps, lambda2_max, steps):
+        # successive differences of the exact E|F|^2 halve with the step,
+        # more nearly so on the finer triple
+        f2 = [exact_second_moments(proxysde.SdeConfig(eps, lambda2_max, n, 1))["f2"]
+              for n in steps]
+        d = np.diff(f2)
+        coarse, fine = d[:-1] / d[1:]
+        assert 1.5 <= coarse <= 2.5 and 1.5 <= fine <= 2.5
+        assert abs(fine - 2.0) < abs(coarse - 2.0)
 
     def test_exp_mode_det_variance_linear_in_step(self):
         vars_ = []

@@ -20,7 +20,6 @@ REFERENCE_IMPLEMENTATIONS = {
     "adjugate": "adj(F) with F adj(F) = det(F) id, against which det is checked",
     "flux_lambda": "flux form of lambda, checked against the energy form",
     "first_order_gradient_energy": "linearized corrector the small-amplitude solve must match",
-    "coupled_refinement": "common-noise study of the Euler scheme's weak order",
     "occupancy_counts": "cell counts showing a divergence-free drift keeps the uniform law",
     "load_snapshot": "reads back what save_snapshot writes",
 }
