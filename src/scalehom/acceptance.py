@@ -82,8 +82,7 @@ ENSEMBLES = {
     "mc_ode": proxysde.SdeConfig(eps=0.2, lambda2_max=4.0, n_steps=400,
                                  n_traj=100_000, seed=SEED),
     "deep": proxysde.SdeConfig(eps=0.1, lambda2_max=25.0, n_steps=2400,
-                               n_traj=100_000, seed=SEED + 6, record_stride=4,
-                               snapshot_points=(25.0,)),
+                               n_traj=100_000, seed=SEED + 6, record_stride=4),
     "tail": proxysde.SdeConfig(eps=0.2, lambda2_max=25.0, n_steps=2400,
                                n_traj=100_000, seed=SEED + 7, record_stride=8,
                                snapshot_points=(9.0, 16.0, 25.0)),
@@ -277,7 +276,7 @@ def criterion_9_field_mode():
 
     # whole-band stream variance
     vals = [np.mean(fieldsim.sample_shell_field(
-        grid, 1.0, 32.0, eps, stream(SEED + 3, "accept-band", i)).values ** 2)
+        grid, 1.0, 32.0, eps, stream(SEED + 3, "accept-band", i)).psi ** 2)
         for i in range(40)]
     var_ratio = float(np.mean(vals) / (eps ** 2 * np.log(32.0)))
 

@@ -4,10 +4,10 @@ Configs are plain ``key = value`` text with one section per module; unknown
 sections or keys are rejected and every value, from a file or a flag, is
 validated before any work starts.  Each command is a row of ``COMMANDS``
 whose runner computes named outputs; ``dispatch`` writes each atomically
-(CSV with 17 significant digits, JSON, or a field snapshot) with a JSON
-sidecar carrying the config hash, versions, seed, and wall time.  Data files
-are byte-identical across runs with the same config and seed, on any number
-of CPUs; wall time lives only in the sidecars.
+(CSV with 17 significant digits, JSON, or the bytes of a field snapshot)
+with a JSON sidecar carrying the config hash, versions, seed, and wall
+time.  Data files are byte-identical across runs with the same config and
+seed, on any number of CPUs; wall time lives only in the sidecars.
 
 Exit codes: 0 success, 1 argument/config validation failure, 2 numeric
 failure (non-convergence, non-finite states, failed acceptance criteria).
@@ -38,14 +38,14 @@ def parse_list(raw: str, caster=float) -> list:
     return [caster(tok.strip()) for tok in raw.split(",") if tok.strip()]
 
 
-def _entries(desc: str, caster=float, ok=lambda v: True, empty_ok=False) -> tuple:
-    """Predicate on a comma list: every entry parses and passes ``ok``."""
+def _entries(desc: str, caster=float, ok=lambda v: True) -> tuple:
+    """Predicate on a non-empty comma list: every entry parses and passes ``ok``."""
     def check(raw: str) -> bool:
         try:
             vals = parse_list(raw, caster)
         except ValueError:
             return False
-        return (empty_ok or bool(vals)) and all(ok(v) for v in vals)
+        return bool(vals) and all(ok(v) for v in vals)
     return desc, check
 
 
@@ -62,13 +62,12 @@ SCHEMA = {
         "out_dir": (".", str, None),
     },
     "sde": {
-        "eps": ("0.2", float, _NONNEG),
+        "eps": ("0.2", float, _POS),
         "lambda2_max": ("4.0", float, _GT1),
         "n_steps": ("400", int, _POS),
         "n_traj": ("100000", int, _POS),
         "mode": ("full", str, ("full or exp", lambda v: v in ("full", "exp"))),
         "record_stride": ("1", int, _POS),
-        "snapshot_points": ("", str, _entries("a comma list of numbers", empty_ok=True)),
     },
     "ode": {
         "eps": ("0.2", float, _POS),
@@ -225,9 +224,8 @@ def write_sidecar(path: Path, cfg: RunConfig, seed: int, wall_s: float,
     atomic_write(path.with_suffix(path.suffix + ".meta.json"), _json_text(payload))
 
 
-#: output kinds of a runner besides JSON payloads (dicts)
+#: output kind of a runner besides JSON payloads (dicts) and raw bytes
 Csv = namedtuple("Csv", "header rows")
-Snapshot = namedtuple("Snapshot", "state box_len")
 
 
 def _moment_header(lead: list[str]) -> list[str]:
@@ -237,8 +235,7 @@ def _moment_header(lead: list[str]) -> list[str]:
 
 # A runner takes its config section (None for commands without one) and the
 # seed, and returns (outputs, sidecar extras, passed):
-# outputs map file names to a Csv, a Snapshot or a JSON payload.  A
-# snapshot's path is recorded in every sidecar of the run.
+# outputs map file names to a Csv, raw bytes or a JSON payload.
 
 def run_qv_check(sec, seed):
     r1 = acceptance.criterion_1_algebra()
@@ -259,8 +256,7 @@ def run_sde(sec, seed):
     run = proxysde.SdeConfig(
         eps=sec["eps"], lambda2_max=sec["lambda2_max"], n_steps=sec["n_steps"],
         n_traj=sec["n_traj"], seed=seed, mode=sec["mode"],
-        record_stride=sec["record_stride"],
-        snapshot_points=tuple(parse_list(sec["snapshot_points"])))
+        record_stride=sec["record_stride"])
     s = proxysde.run_ensemble(run).series
     rows = [[s.lambda2[i], s.ln_l[i], *s.means[i], *s.ses[i]]
             for i in range(len(s.lambda2))]
@@ -315,7 +311,8 @@ def run_field(sec, seed):
     extra = {"qv_accumulated": qv.accumulated_dpsi, "qv_expected": qv.expected_dpsi,
              "qv_ok": qv.ok(), "draw_threads": proxysde.draw_threads()}
     if keep:
-        outputs["field_state.bin"] = Snapshot(res.final_state, fcfg.grid().box_len)
+        outputs["field_state.bin"] = fieldsim.snapshot_bytes(res.final_state,
+                                                             fcfg.grid().box_len)
     return outputs, extra, True
 
 
@@ -423,11 +420,8 @@ def dispatch(argv: list[str]) -> int:
             path = out / name
             if isinstance(data, Csv):
                 write_csv(path, data.header, data.rows)
-            elif isinstance(data, Snapshot):
-                fieldsim.save_snapshot(path, data.state, data.box_len)
-                extra["snapshot"] = str(path)
             else:
-                atomic_write(path, _json_text(data))
+                atomic_write(path, data if isinstance(data, bytes) else _json_text(data))
         wall_s = time.perf_counter() - t0
         for name in outputs:
             write_sidecar(out / name, cfg, run["seed"], wall_s, extra)

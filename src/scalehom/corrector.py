@@ -1,7 +1,10 @@
 """Periodic corrector problem for sampled stream functions.
 
 For a stream function ``psi`` on the torus the coefficient field is
-``a = id + psi J``; the corrector ``phi`` in direction ``xi`` solves
+``a = id + psi J``.  The stream function is a :class:`fieldsim.ShellField`,
+the same band of a half spectrum as a shell increment of field mode, here
+on the whole annulus ``1/l_max < |k| <= 1``; the corrector ``phi`` in
+direction ``xi`` solves
 
     div a (xi + grad phi) = 0,  zero-mean gradient,
 
@@ -31,14 +34,13 @@ thread count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lgmres
 
 from . import tensor2d
-from .fieldsim import TorusGrid, sample_shell_field
+from .fieldsim import ShellField, TorusGrid, sample_shell_field
 from .proxysde import _map_units, truncated_second_moment
 from .rng import stream
 
@@ -50,34 +52,10 @@ _MAX_ITER = 400
 R_SCHEDULE = (0.25, 0.5, 1.0, 2.0, 4.0)
 
 
-@dataclass
-class CoefField:
-    """Stream-function sample, held by the occupied band of its half spectrum
-    (the first columns of the ``rfft2`` layout; the rest are zero), and the
-    implied coefficient field id + psi J."""
-
-    psi_hat: np.ndarray
-    grid: TorusGrid
-    eps: float
-    l_max: float
-
-    @cached_property
-    def psi(self) -> np.ndarray:
-        return self.grid.synthesize(self.psi_hat)
-
-    def grad_psi(self) -> np.ndarray:
-        return self.grid.derivatives(self.psi_hat, GRAD)
-
-    def apply_a(self, v: np.ndarray) -> np.ndarray:
-        """Pointwise a(v) = v + psi J v for a vector field v of shape (2,n,n)."""
-        return np.stack([v[0] - self.psi * v[1], v[1] + self.psi * v[0]])
-
-
 def sample_stream_function(grid: TorusGrid, eps: float, l_max: float,
-                           rng: np.random.Generator) -> CoefField:
+                           rng: np.random.Generator) -> ShellField:
     """Band-limited stream function with spectrum eps^2/|k|^2 on [1/l_max, 1]."""
-    shell = sample_shell_field(grid, 1.0, l_max, eps, rng)
-    return CoefField(shell.coeffs, grid, eps, l_max)
+    return sample_shell_field(grid, 1.0, l_max, eps, rng)
 
 
 @dataclass
@@ -86,7 +64,6 @@ class CorrectorSolution:
 
     ``iterations`` counts lgmres iterations; ``fallback_steps`` the damped
     fixed-point steps, 0 unless lgmres missed ``tol``.
-    ``residual_history``: true residual after lgmres, then per fixed-point step.
     """
 
     phi: np.ndarray
@@ -95,10 +72,9 @@ class CorrectorSolution:
     residual_rel: float
     iterations: int
     fallback_steps: int
-    residual_history: list = field(default_factory=list)
 
 
-def solve_corrector(coef: CoefField, xi, tol: float = 1e-8) -> CorrectorSolution:
+def solve_corrector(coef: ShellField, xi, tol: float = 1e-8) -> CorrectorSolution:
     """Solve the corrector problem in direction ``xi`` to relative residual ``tol``.
 
     lgmres solves the preconditioned equation u + lap^{-1}(grad psi . J grad u)
@@ -112,10 +88,10 @@ def solve_corrector(coef: CoefField, xi, tol: float = 1e-8) -> CorrectorSolution
     xi = np.asarray(xi, dtype=float)
     grid = coef.grid
     n = grid.n
-    if not np.all(np.isfinite(coef.psi_hat)):
+    if not np.all(np.isfinite(coef.coeffs)):
         raise ValueError("coefficient field contains non-finite values")
     inv_k2 = grid.inv_k2()
-    gpsi = coef.grad_psi()
+    gpsi = grid.derivatives(coef.coeffs, GRAD)
 
     jxi = tensor2d.J @ xi
     rhs = -(gpsi[0] * jxi[0] + gpsi[1] * jxi[1])
@@ -170,7 +146,7 @@ def solve_corrector(coef: CoefField, xi, tol: float = 1e-8) -> CorrectorSolution
             raise FloatingPointError(
                 f"corrector solve stalled at relative residual {res:.3e} "
                 f"(tol {tol:.1e}); history tail {history[-5:]}")
-    return CorrectorSolution(phi, grad, xi, res, iterations, fallback_steps, history)
+    return CorrectorSolution(phi, grad, xi, res, iterations, fallback_steps)
 
 
 def effective_lambda(sol: CorrectorSolution) -> float:
@@ -178,15 +154,16 @@ def effective_lambda(sol: CorrectorSolution) -> float:
     return 1.0 + float(np.mean(np.sum(sol.grad ** 2, axis=0)))
 
 
-def flux_lambda(sol: CorrectorSolution, coef: CoefField) -> np.ndarray:
-    """Flux representation: the spatial mean of a (xi + grad phi)."""
+def flux_lambda(sol: CorrectorSolution, coef: ShellField) -> np.ndarray:
+    """Flux representation: the spatial mean of a (xi + grad phi), with the
+    pointwise a v = v + psi J v."""
     v = sol.grad.copy()
     v[0] += sol.xi[0]
     v[1] += sol.xi[1]
-    return np.mean(coef.apply_a(v), axis=(1, 2))
+    return np.mean([v[0] - coef.psi * v[1], v[1] + coef.psi * v[0]], axis=(1, 2))
 
 
-def first_order_gradient_energy(coef: CoefField, xi) -> float:
+def first_order_gradient_energy(coef: ShellField, xi) -> float:
     """Perturbation oracle: mean |grad lap^{-1}(grad psi . J xi)|^2.
 
     The linearized corrector keeps only the stream forcing; its ensemble
@@ -194,7 +171,7 @@ def first_order_gradient_energy(coef: CoefField, xi) -> float:
     solve at small amplitude must land near this value.
     """
     jxi = tensor2d.J @ np.asarray(xi, dtype=float)
-    gpsi = coef.grad_psi()
+    gpsi = coef.grid.derivatives(coef.coeffs, GRAD)
     rhs = -(gpsi[0] * jxi[0] + gpsi[1] * jxi[1])
     grad = coef.grid.derivatives(-coef.grid.inv_k2() * np.fft.rfft2(rhs), GRAD)
     return float(np.mean(np.sum(grad ** 2, axis=0)))
@@ -232,9 +209,6 @@ def jacobian_stats(sol1: CorrectorSolution, sol2: CorrectorSolution) -> Jacobian
 class CorrectorRun:
     """Ensemble summary over stream-function realizations."""
 
-    eps: float
-    l_max: float
-    n: int
     lambdas: np.ndarray
     stats: list
 
@@ -262,4 +236,4 @@ def run_corrector_ensemble(eps: float, l_max: float, n: int, n_samples: int,
         st = jacobian_stats(sols[0], sols[1])
         lambdas[s] = st.lambda_avg
         stats.append(st)
-    return CorrectorRun(eps, l_max, n, lambdas, stats)
+    return CorrectorRun(lambdas, stats)

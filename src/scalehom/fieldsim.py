@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -130,13 +131,14 @@ _NOISE_ROWS = 128
 
 @dataclass
 class ShellField:
-    """One spectral stream-function increment supported on an annulus."""
+    """Gaussian stream function supported on an annulus of the half spectrum:
+    one shell increment, or a whole band-limited stream function."""
 
     grid: TorusGrid
     coeffs: np.ndarray          # (n, m) occupied band of the rfft2 half spectrum
 
-    @property
-    def values(self) -> np.ndarray:
+    @cached_property
+    def psi(self) -> np.ndarray:
         return self.grid.synthesize(self.coeffs)
 
 
@@ -203,7 +205,7 @@ _BASE_ORDERS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2), (3, 0), (2, 1), (1, 2), 
 
 def driver_fields(shell: ShellField, lam2: float, dlambda2: float) -> DriverFields:
     """Driver triple from one shell increment at multiplier scale ``lam2``:
-    dphi = J grad base = (-d_y base, d_x base), base = dpsi_hat / (lam |k|^2)."""
+    dphi = J grad base = (-d_y base, d_x base), base = hat(dpsi) / (lam |k|^2)."""
     grid = shell.grid
     dpsi, *grad_dpsi = grid.derivatives(shell.coeffs, ((0, 0), (1, 0), (0, 1)))
     base = shell.coeffs * grid.inv_k2()[:, :shell.coeffs.shape[-1]] / np.sqrt(lam2)
@@ -260,6 +262,10 @@ class FieldConfig:
     seed: int = 0
     #: cutoff ratio of consecutive shells, uniform steps in lam2
     shell_ratio: ClassVar[float] = 2.0 ** 0.25
+
+    def __post_init__(self):
+        if self.eps <= 0.0:
+            raise ValueError("eps must be positive")
 
     def shells(self) -> np.ndarray:
         """Geometric cutoff ladder 1 = l_0 < ... <= l_max (uniform in lam2)."""
@@ -327,7 +333,7 @@ def run_field_ensemble(cfg: FieldConfig, keep_final: bool = False) -> FieldRunRe
 
 def _spatial_moments(state: FieldState, eps: float, buf: np.ndarray) -> np.ndarray:
     """Spatial means of the nine tracked quantities, corrector rescaled by L."""
-    ln_l = (state.lambda2 - 1.0) / eps ** 2 if eps > 0 else 0.0
+    ln_l = (state.lambda2 - 1.0) / eps ** 2
     return moment_planes(state.phi * np.exp(-ln_l), state.f, buf).mean(axis=1)
 
 
@@ -361,8 +367,7 @@ def empirical_qv(result: FieldRunResult) -> QvReport:
     if n_shells < 8:
         raise ValueError(f"need at least 8 shells, run has {n_shells}")
     dlam2 = np.diff(result.lambda2)
-    lam2_mids = 1.0 + cfg.eps ** 2 * np.log(result.l_mids) if cfg.eps > 0 \
-        else np.ones(n_shells)
+    lam2_mids = 1.0 + cfg.eps ** 2 * np.log(result.l_mids)
     acc = float(result.qv_dpsi.mean(axis=0).sum())
     deriv = result.qv_grad_dpsi.mean(axis=0) * result.l_mids ** 2 \
         / result.qv_dpsi.mean(axis=0)
@@ -371,15 +376,12 @@ def empirical_qv(result: FieldRunResult) -> QvReport:
     return QvReport(acc, float(result.lambda2[-1] - 1.0), deriv, hessc)
 
 
-def save_snapshot(path, state: FieldState, box_len: float) -> None:
+def snapshot_bytes(state: FieldState, box_len: float) -> bytes:
     """Flat binary field snapshot: header (n, box_len, lam2, components),
     then row-major float64 planes (phi first, then F)."""
     comps = np.concatenate([state.phi, state.f.reshape(4, *state.f.shape[2:])])
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<iddi", state.phi.shape[1], box_len,
-                             state.lambda2, comps.shape[0]))
-        comps.astype("<f8").tofile(fh)
+    return _MAGIC + struct.pack("<iddi", state.phi.shape[1], box_len, state.lambda2,
+                                comps.shape[0]) + comps.astype("<f8").tobytes()
 
 
 def load_snapshot(path) -> tuple[FieldState, float]:

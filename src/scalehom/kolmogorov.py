@@ -375,7 +375,7 @@ def verify_tail(samples_f2: np.ndarray, eps: float, lambda2: float,
     e_zeta = float(zeta_vals.mean())
     se_zeta = float(zeta_vals.std(ddof=1) / np.sqrt(zeta_vals.size))
 
-    cst = envelope_constants(min(eps, 1.0) if eps > 0 else 1.0)
+    cst = envelope_constants(min(eps, 1.0))
     c1 = 0.5 * np.sqrt(1.0 + cst["kappa_c"] * eps ** 2) \
         + 2.0 * BULLET_OPNORM * cst["k3"] * eps ** 2
     c2 = 0.5 * cst["k3"]

@@ -30,8 +30,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .corrector import CoefField, sample_stream_function
-from .fieldsim import TorusGrid
+from .corrector import sample_stream_function
+from .fieldsim import ShellField, TorusGrid
 from .proxysde import _blocks, _map_units, merge_moments
 from .rng import stream
 
@@ -52,9 +52,9 @@ class DriftField:
     _scratch: local = field(default_factory=local, init=False, repr=False, compare=False)
 
     @classmethod
-    def from_stream(cls, coef: CoefField) -> "DriftField":
+    def from_stream(cls, coef: ShellField) -> "DriftField":
         """b = (-d_y psi, d_x psi) from the stream function's half spectrum."""
-        b = coef.grid.derivatives(coef.psi_hat, ((0, 1), (1, 0)))
+        b = coef.grid.derivatives(coef.coeffs, ((0, 1), (1, 0)))
         b[0] *= -1.0
         return cls(b, coef.grid)
 

@@ -136,8 +136,8 @@ class SdeConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.lambda2_weighting not in ("exact", "midpoint-frozen"):
             raise ValueError(f"unknown weighting {self.lambda2_weighting!r}")
-        if self.eps < 0.0:
-            raise ValueError("eps must be nonnegative")
+        if self.eps <= 0.0:
+            raise ValueError("eps must be positive")
 
     def grid(self) -> np.ndarray:
         """Uniform scale grid 1 = lam2_0 < ... < lam2_n = lambda2_max."""
@@ -162,8 +162,6 @@ class MomentSeries:
 
     @property
     def ln_l(self) -> np.ndarray:
-        if self.eps == 0.0:
-            return np.zeros_like(self.lambda2)
         return (self.lambda2 - 1.0) / self.eps ** 2
 
     def column(self, name: str) -> np.ndarray:
@@ -302,8 +300,6 @@ def moment_planes(phi: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray
 
 def _prepare_steps(cfg: SdeConfig):
     x = cfg.grid()
-    if cfg.eps == 0.0:
-        return x, None, np.zeros(cfg.n_steps)
     factors, damps = [], np.empty(cfg.n_steps)
     for i in range(cfg.n_steps):
         frozen = 0.5 * (x[i] + x[i + 1]) if cfg.lambda2_weighting == "midpoint-frozen" \
@@ -385,12 +381,9 @@ def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_bl
 
     record(0)
     for i in range(cfg.n_steps):
-        if factors is None:
-            phi *= damps[i]
-        else:
-            shellcov.gaussian_from_factor(factors[i], next(normals), vec)
-            euler_update(phi, f, shellcov.components_to_fields(vec), damps[i],
-                         cfg.mode == "full")
+        shellcov.gaussian_from_factor(factors[i], next(normals), vec)
+        euler_update(phi, f, shellcov.components_to_fields(vec), damps[i],
+                     cfg.mode == "full")
         record(i + 1)
     # the last grid point is always recorded, so a non-finite phi or F shows
     # in the sums; they date the failure at no per-step cost

@@ -9,7 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from scalehom import cli, particle, proxysde, shellcov
+from scalehom import cli, fieldsim, particle, proxysde, shellcov
 
 
 def small_config(tmp_path, **overrides):
@@ -67,10 +67,10 @@ class TestRunConfig:
         # DEFAULT_CONFIG is rendered from SCHEMA; its parsed content, and so
         # every sidecar's config_sha256 at --config default, is pinned
         assert cli.RunConfig.parse(cli.DEFAULT_CONFIG).sha256() == \
-            "b22714d5fd8ac33033638a48dbc16d20c59207797b3a8e130eb8a95dcdeecbf9"
+            "3150f4f4f1f0643c87fe46912130f8669610576231a7b97e96868c61e7bdd80d"
 
     @pytest.mark.parametrize("section, values, key", [
-        ("sde", {"snapshot_points": "x"}, "snapshot_points"),
+        ("particle", {"n_list": "x"}, "n_list"),
         ("particle", {"l_list": "", "n_list": ""}, "l_list"),
         ("particle", {"n_list": ""}, "n_list"),
         ("particle", {"n_list": "0"}, "n_list"),
@@ -84,8 +84,7 @@ class TestRunConfig:
         with pytest.raises(cli.ConfigError, match=key):
             cli.RunConfig.load(str(path))
         out = tmp_path / "out"
-        command = "sde-run" if section == "sde" else "particle-run"
-        assert cli.dispatch([command, "--config", str(path), "--out", str(out)]) == 1
+        assert cli.dispatch(["particle-run", "--config", str(path), "--out", str(out)]) == 1
         assert not out.exists()
 
 
@@ -112,6 +111,23 @@ class TestDispatch:
         path = small_config(tmp_path, ode={"eps": 0.0})
         assert cli.dispatch(["ode-run", "--config", str(path), "--out", str(out)]) == 1
         assert "[ode] eps = " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_sde_eps_is_a_config_error(self, tmp_path, capsys):
+        # nor has the proxy SDE: its rows would read ln L = 0 while lam2 grows
+        out = tmp_path / "out"
+        path = small_config(tmp_path, sde={"eps": 0.0})
+        assert cli.dispatch(["sde-run", "--config", str(path), "--out", str(out)]) == 1
+        assert "[sde] eps = " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sde_snapshot_points_is_an_unknown_key(self, tmp_path, capsys):
+        # sde-run kept no snapshot, so the key is gone rather than ignored
+        out = tmp_path / "out"
+        path = tmp_path / "run.cfg"
+        path.write_text(cli.DEFAULT_CONFIG.replace("[sde]\n", "[sde]\nsnapshot_points = 2.0\n"))
+        assert cli.dispatch(["sde-run", "--config", str(path), "--out", str(out)]) == 1
+        assert "unknown key 'snapshot_points' in section [sde]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, key", [
@@ -331,6 +347,28 @@ class TestOtherCommands:
         code = cli.dispatch(["field-run", "--config", str(path), "--out", str(out)])
         assert code in (0, 2)   # tiny run; qv_ok not asserted at this size
         assert (out / "field_moments.csv").exists()
+
+    def test_field_snapshot_written_atomically(self, tmp_path, monkeypatch):
+        # the snapshot goes through a temporary file and a rename like every
+        # output, so a failed rename leaves neither it nor the temporary file
+        path = small_config(tmp_path, field={"box_mult": 2.0, "save_snapshot": "true"})
+        out = tmp_path / "field"
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if os.path.basename(dst) == "field_state.bin":
+                raise OSError("disk full")
+            replace(src, dst)
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            cli.dispatch(["field-run", "--config", str(path), "--out", str(out)])
+        assert not [p.name for p in out.iterdir() if "field_state.bin" in p.name]
+        monkeypatch.setattr(cli.os, "replace", replace)
+        cli.dispatch(["field-run", "--config", str(path), "--out", str(out)])
+        state, box_len = fieldsim.load_snapshot(out / "field_state.bin")
+        cfg = cli.RunConfig.load(str(path))["field"]
+        assert box_len == 2.0 * 2.0 * np.pi * cfg["l_max"]
+        assert state.f.shape == (2, 2, cfg["n"], cfg["n"])
 
 
 #: commands that run on ``proxysde.draw_threads()`` threads and record the count

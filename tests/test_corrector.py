@@ -5,7 +5,7 @@ import pytest
 
 from scalehom import corrector as co
 from scalehom import proxysde
-from scalehom.fieldsim import TorusGrid
+from scalehom.fieldsim import ShellField, TorusGrid
 from scalehom.rng import stream
 
 E1 = np.array([1.0, 0.0])
@@ -14,12 +14,11 @@ E2 = np.array([0.0, 1.0])
 
 def _upsample(coef, factor):
     """Spectral zero-padding: the same band-limited realization on a finer grid."""
-    half, m, w = coef.grid.n // 2, coef.grid.n * factor, coef.psi_hat.shape[1]
+    half, m, w = coef.grid.n // 2, coef.grid.n * factor, coef.coeffs.shape[1]
     dst = np.zeros((m, m // 2 + 1), dtype=complex)
-    dst[:half, :w] = coef.psi_hat[:half]
-    dst[m - half:, :w] = coef.psi_hat[half:]
-    return co.CoefField(dst * factor ** 2, TorusGrid(m, coef.grid.box_len), coef.eps,
-                        coef.l_max)
+    dst[:half, :w] = coef.coeffs[:half]
+    dst[m - half:, :w] = coef.coeffs[half:]
+    return ShellField(TorusGrid(m, coef.grid.box_len), dst * factor ** 2)
 
 
 @pytest.fixture(scope="module")
@@ -46,20 +45,20 @@ def krylov_and_fallback():
 class TestSolve:
     def test_zero_stream_gives_zero_corrector(self):
         grid = TorusGrid(64, 40.0)
-        coef = co.CoefField(np.fft.rfft2(np.zeros((64, 64))), grid, 0.1, 4.0)
+        coef = ShellField(grid, np.fft.rfft2(np.zeros((64, 64))))
         sol = co.solve_corrector(coef, E1)
         assert np.all(sol.phi == 0.0) and sol.fallback_steps == 0
 
     def test_constant_stream_gives_zero_corrector(self):
         grid = TorusGrid(64, 40.0)
-        coef = co.CoefField(np.fft.rfft2(np.full((64, 64), 2.7)), grid, 0.1, 4.0)
+        coef = ShellField(grid, np.fft.rfft2(np.full((64, 64), 2.7)))
         sol = co.solve_corrector(coef, E1)
         assert np.allclose(sol.phi, 0.0, atol=1e-12)
 
     def test_residual_below_tolerance(self, sample_problem):
         _, sol1, sol2 = sample_problem
         assert sol1.residual_rel <= 1e-10 and sol2.residual_rel <= 1e-10
-        assert sol1.fallback_steps == 0 and len(sol1.residual_history) >= 1
+        assert sol1.fallback_steps == 0
 
     def test_gradient_has_zero_mean(self, sample_problem):
         _, sol1, _ = sample_problem
@@ -116,18 +115,18 @@ class TestSolve:
 
     def test_rejects_bad_inputs(self):
         grid = TorusGrid(64, 40.0)
-        coef = co.CoefField(np.fft.rfft2(np.full((64, 64), np.nan)), grid, 0.1, 4.0)
+        coef = ShellField(grid, np.fft.rfft2(np.full((64, 64), np.nan)))
         with pytest.raises(ValueError):
             co.solve_corrector(coef, E1)
         with pytest.raises(ValueError):
-            co.solve_corrector(co.CoefField(np.fft.rfft2(np.zeros((64, 64))), grid, 0.1, 4.0),
+            co.solve_corrector(ShellField(grid, np.fft.rfft2(np.zeros((64, 64)))),
                                E1, tol=-1.0)
 
 
 class TestDiffusivity:
     def test_trivial_value_for_zero_stream(self):
         grid = TorusGrid(64, 40.0)
-        coef = co.CoefField(np.fft.rfft2(np.zeros((64, 64))), grid, 0.1, 4.0)
+        coef = ShellField(grid, np.fft.rfft2(np.zeros((64, 64))))
         sol = co.solve_corrector(coef, E1)
         assert co.effective_lambda(sol) == 1.0
 
@@ -146,7 +145,8 @@ class TestDiffusivity:
         coef, sol1, _ = sample_problem
         v = sol1.grad.copy()
         v[0] += 1.0
-        lhs = np.sum(v * coef.apply_a(v), axis=0)
+        a_v = np.stack([v[0] - coef.psi * v[1], v[1] + coef.psi * v[0]])
+        lhs = np.sum(v * a_v, axis=0)
         rhs = np.sum(v * v, axis=0)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -199,7 +199,7 @@ class TestDiffusivity:
 class TestJacobianStats:
     def test_trivial_stream(self):
         grid = TorusGrid(64, 40.0)
-        coef = co.CoefField(np.fft.rfft2(np.zeros((64, 64))), grid, 0.1, 4.0)
+        coef = ShellField(grid, np.fft.rfft2(np.zeros((64, 64))))
         s1, s2 = co.solve_corrector(coef, E1), co.solve_corrector(coef, E2)
         st = co.jacobian_stats(s1, s2)
         assert st.mean_f2 == 2.0 and st.mean_abs_det == 1.0 and st.mean_det == 1.0

@@ -92,7 +92,7 @@ class TestSpectralHelper:
         sh = fs.sample_shell_field(grid, ladder[0], ladder[1], 0.66, stream(12, "edge"))
         nyquist_column = sh.coeffs.shape[1] == grid.n // 2 + 1 and np.any(sh.coeffs[:, -1])
         assert np.any(sh.coeffs[grid.n // 2] != 0.0) or nyquist_column
-        self._check(grid, sh.values)
+        self._check(grid, sh.psi)
 
     def test_one_spectrum_per_order(self):
         grid = fs.TorusGrid(32, 7.0)
@@ -120,7 +120,7 @@ class TestSpectralHelper:
         k = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
         kx, ky = k[:, None], k[None, :]
         k2 = kx * kx + ky * ky
-        full = np.fft.fft2(sh.values)
+        full = np.fft.fft2(sh.psi)
         base = full * np.where(k2 > 0, 1.0 / np.where(k2 > 0, k2, 1.0), 0.0) / np.sqrt(1.3)
         jk, karr = (-ky, kx), (kx, ky)
         for c in range(2):
@@ -240,7 +240,7 @@ class TestBandLimitedShell:
 class TestShellSampling:
     def test_variance_calibration(self, small_grid):
         vals = [np.mean(fs.sample_shell_field(small_grid, 1.0, 16.0, 0.5,
-                                              stream(1, "var", i)).values ** 2)
+                                              stream(1, "var", i)).psi ** 2)
                 for i in range(300)]
         target = 0.25 * np.log(16.0)
         se = np.std(vals) / np.sqrt(len(vals))
@@ -253,7 +253,7 @@ class TestShellSampling:
         full = _hermitian_completion(_full_width(small_grid, sh.coeffs))
         ref = np.fft.ifft2(full)
         assert np.max(np.abs(ref.imag)) <= 1e-13 * np.max(np.abs(ref.real))
-        assert np.max(np.abs(sh.values - ref.real)) <= 1e-13 * np.max(np.abs(ref.real))
+        assert np.max(np.abs(sh.psi - ref.real)) <= 1e-13 * np.max(np.abs(ref.real))
 
     def test_coefficients_confined_to_annulus(self, small_grid):
         # the band's columns hold the whole annulus, and nothing outside it
@@ -266,10 +266,10 @@ class TestShellSampling:
 
     def test_disjoint_shells_independent(self, small_grid):
         x = np.array([fs.sample_shell_field(small_grid, 1.0, 2.0, 0.5,
-                                            stream(4, "i", i)).values[0, 0]
+                                            stream(4, "i", i)).psi[0, 0]
                       for i in range(400)])
         y = np.array([fs.sample_shell_field(small_grid, 2.0, 4.0, 0.5,
-                                            stream(5, "i", i)).values[0, 0]
+                                            stream(5, "i", i)).psi[0, 0]
                       for i in range(400)])
         corr = np.corrcoef(x, y)[0, 1]
         assert abs(corr) < 5.0 / np.sqrt(400)
@@ -371,6 +371,12 @@ class TestStepFields:
         assert np.max(z) < 3.0
 
 
+def test_nonpositive_eps_rejected():
+    for eps in (0.0, -0.5):
+        with pytest.raises(ValueError, match="eps must be positive"):
+            fs.FieldConfig(eps=eps, l_max=4.0, n=64)
+
+
 def test_shell_ratio_is_not_a_setting():
     with pytest.raises(TypeError):
         fs.FieldConfig(eps=0.5, l_max=4.0, n=64, shell_ratio=1.5)
@@ -443,7 +449,7 @@ class TestSnapshotIO:
     def test_roundtrip(self, tmp_path, field_run):
         state = field_run.final_state
         path = tmp_path / "state.bin"
-        fs.save_snapshot(path, state, field_run.config.grid().box_len)
+        path.write_bytes(fs.snapshot_bytes(state, field_run.config.grid().box_len))
         loaded, box = fs.load_snapshot(path)
         assert box == field_run.config.grid().box_len
         assert loaded.lambda2 == state.lambda2

@@ -173,12 +173,12 @@ class TestEnsemble:
                 assert res.series.se(name)[row] == pytest.approx(ref, rel=1e-13, abs=0), \
                     (name, row)
 
-    def test_zero_amplitude_is_frozen(self):
-        cfg = proxysde.SdeConfig(eps=0.0, lambda2_max=3.0, n_steps=10, n_traj=50, seed=0)
-        s = proxysde.run_ensemble(cfg).series
-        assert np.all(s.column("f2") == 2.0)
-        assert np.all(s.column("det") == 1.0)
-        assert np.all(s.column("phi2_resc") == 0.0)
+    def test_zero_amplitude_rejected(self):
+        # lam2 = 1 + eps^2 ln L: at eps = 0 no scale is reached, and the
+        # series would report ln L = 0 while lam2 grows
+        for eps in (0.0, -0.2):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                proxysde.SdeConfig(eps=eps, lambda2_max=3.0, n_steps=10, n_traj=50)
 
     def test_cross_block_insensitivity_of_tracked_moments(self, monkeypatch):
         # zeroing the dphi/Hessian covariation must not move the tracked

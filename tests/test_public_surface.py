@@ -21,7 +21,7 @@ REFERENCE_IMPLEMENTATIONS = {
     "flux_lambda": "flux form of lambda, checked against the energy form",
     "first_order_gradient_energy": "linearized corrector the small-amplitude solve must match",
     "occupancy_counts": "cell counts showing a divergence-free drift keeps the uniform law",
-    "load_snapshot": "reads back what save_snapshot writes",
+    "load_snapshot": "reads back the field_state.bin that snapshot_bytes makes",
 }
 
 
