@@ -193,11 +193,18 @@ class RunConfig:
 
 
 def atomic_write(path: Path, data: str | bytes) -> None:
-    """Write through a temporary file in the target directory, then rename."""
+    """Write through a temporary file in the target directory, then rename.
+
+    The file gets the mode a plain ``open`` gives, 0666 less the umask, in
+    place of the temporary file's 0600.
+    """
     mode = "wb" if isinstance(data, bytes) else "w"
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, mode) as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -257,11 +264,13 @@ def run_sde(sec, seed):
         eps=sec["eps"], lambda2_max=sec["lambda2_max"], n_steps=sec["n_steps"],
         n_traj=sec["n_traj"], seed=seed, mode=sec["mode"],
         record_stride=sec["record_stride"])
-    s = proxysde.run_ensemble(run).series
+    res = proxysde.run_ensemble(run)
+    s = res.series
     rows = [[s.lambda2[i], s.ln_l[i], *s.means[i], *s.ses[i]]
             for i in range(len(s.lambda2))]
     return {"sde_series.csv": Csv(_moment_header(["lambda2", "ln_l"]), rows)}, \
-        {"n_traj": run.n_traj, "mode": run.mode, **_sde_draws()}, True
+        {"n_traj": run.n_traj, "mode": run.mode, **_sde_draws(),
+         "caller_drawn_steps": res.caller_drawn_steps}, True
 
 
 def run_ode(sec, seed):

@@ -33,15 +33,18 @@ reduced in block order.  Each (block, step) draws its ``shellcov.RANK``
 normals per trajectory from its own SFC64 stream keyed by (seed, block,
 step).  The caller's thread counts as one of the :func:`draw_threads`
 threads: it turns each step's normals into driver increments and applies
-the step, while the other one draws the next steps' normals (on one CPU
-there is none, and the caller draws inline).  The drawing runs in parallel,
-not the blocks, and output is identical for any number of draw threads.
+the step, while the other one draws the next DRAW_AHEAD steps' normals into
+a ring (on one CPU there is none, and the caller draws inline).  When the
+caller is ahead of the drawer, it takes queued steps back from the far end
+of that queue and draws them itself (work stealing), so neither thread
+waits for long.  Each step still draws from its own stream into its own
+ring slot, so output is identical for any number of draw threads and any
+schedule; the drawing runs in parallel, not the blocks.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -56,9 +59,11 @@ MOMENT_NAMES = (
     "closure_mix", "closure_bullet", "closure_adj",
 )
 
-#: steps drawn ahead of the one being applied; the ring holds one more, and
-#: no more threads than this draw
-DRAW_AHEAD = 2
+#: steps queued for drawing ahead of the one being applied; the ring of
+#: normals holds one more
+DRAW_AHEAD = 3
+#: the most threads :func:`draw_threads` gives, the caller's own among them
+MAX_DRAW_THREADS = 2
 #: trajectories per block; the block index keys the stream of its normals,
 #: so this value is part of the stream layout
 BLOCK_SIZE = 16384
@@ -70,10 +75,10 @@ def draw_threads() -> int:
     """Threads that run the proxy SDE, the caller's own among them, and that
     run the independent units of the spatial ensembles (:func:`_map_units`):
     the CPUs this process may run on (one under ``taskset -c 0``), capped at
-    DRAW_AHEAD; 1 runs inline, starting none."""
+    MAX_DRAW_THREADS; 1 runs inline, starting none."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") \
         else range(os.cpu_count() or 1)
-    return min(len(cpus), DRAW_AHEAD)
+    return min(len(cpus), MAX_DRAW_THREADS)
 
 
 def _map_units(fn, units, name: str) -> list:
@@ -189,8 +194,16 @@ class MomentSeries:
 
 @dataclass
 class EnsembleResult:
+    """Moment series and snapshots of one run.
+
+    ``caller_drawn_steps`` counts the (block, step) cells whose normals the
+    caller's thread drew, all of them when it runs inline: it depends on
+    scheduling alone, and no moment or snapshot depends on it.
+    """
+
     series: MomentSeries
     snapshots: dict = field(default_factory=dict)   # lambda2 -> {"f2": ..., "det": ...}
+    caller_drawn_steps: int = 0
 
 
 def euler_update(phi: np.ndarray, f: np.ndarray, inc, damp=1.0,
@@ -299,15 +312,12 @@ def moment_planes(phi: np.ndarray, f: np.ndarray, out: np.ndarray) -> np.ndarray
 
 
 def _prepare_steps(cfg: SdeConfig):
+    """The grid, every step's (12, RANK) factor as one stack, and its damping."""
     x = cfg.grid()
-    factors, damps = [], np.empty(cfg.n_steps)
-    for i in range(cfg.n_steps):
-        frozen = 0.5 * (x[i] + x[i + 1]) if cfg.lambda2_weighting == "midpoint-frozen" \
-            else None
-        cov = shellcov.step_covariance(x[i], x[i + 1], cfg.eps, frozen_lambda2=frozen)
-        factors.append(cov.factor())
-        damps[i] = np.exp(-(x[i + 1] - x[i]) / cfg.eps ** 2)
-    return x, factors, damps
+    lo, hi = x[:-1], x[1:]
+    frozen = 0.5 * (lo + hi) if cfg.lambda2_weighting == "midpoint-frozen" else None
+    factors = shellcov.step_covariance(lo, hi, cfg.eps, frozen_lambda2=frozen).factor()
+    return x, factors, np.exp(-(hi - lo) / cfg.eps ** 2)
 
 
 def _record_points(cfg: SdeConfig) -> np.ndarray:
@@ -335,9 +345,16 @@ def _initial_planes(*shape: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _normals(pool, seed: int, block: int, n_steps: int, n_rows: int):
     """Each step's ``(n_rows, shellcov.RANK)`` standard normals, step ``i``
-    from ``stream(seed, "proxy-sde", block, counter=i)``.  With a pool, its threads
-    draw steps i+1 ... i+DRAW_AHEAD into a ring of DRAW_AHEAD + 1 buffers
-    while the caller uses step i."""
+    from ``stream(seed, "proxy-sde", block, counter=i)``, with the number of
+    steps the caller drew since the last one was yielded.
+
+    With a pool, steps i+1 ... i+DRAW_AHEAD are queued on its threads, each
+    into its own slot of a ring of DRAW_AHEAD + 1 buffers, while the caller
+    uses step i.  When the caller asks for step i before it is drawn, it
+    draws i itself if no thread has started it; otherwise it cancels the
+    furthest queued step that no thread has started and draws that one into
+    its slot, until step i is done or nothing is left queued.
+    """
     shape = (n_rows, shellcov.RANK)
     ring = np.empty((1 if pool is None else DRAW_AHEAD + 1, *shape))
 
@@ -346,20 +363,37 @@ def _normals(pool, seed: int, block: int, n_steps: int, n_rows: int):
             shape, out=ring[i % len(ring)])
 
     if pool is None:
-        yield from map(draw, range(n_steps))
+        for i in range(n_steps):
+            yield draw(i), 1
         return
-    ahead = deque(pool.submit(draw, i) for i in range(min(DRAW_AHEAD, n_steps)))
+    # step -> its future, or None once the caller has drawn it
+    ahead = {i: pool.submit(draw, i) for i in range(min(DRAW_AHEAD, n_steps))}
     for i in range(n_steps):
         if i + DRAW_AHEAD < n_steps:
             # the slot of step i - 1, which the caller is done with
-            ahead.append(pool.submit(draw, i + DRAW_AHEAD))
-        yield ahead.popleft().result()
+            ahead[i + DRAW_AHEAD] = pool.submit(draw, i + DRAW_AHEAD)
+        fut = ahead.pop(i)
+        if fut is None:
+            yield ring[i % len(ring)], 0
+        elif fut.cancel():
+            yield draw(i), 1
+        else:
+            taken = 0
+            for j in sorted(ahead, reverse=True):
+                if fut.done():
+                    break
+                if ahead[j] is not None and ahead[j].cancel():
+                    draw(j)
+                    ahead[j] = None
+                    taken += 1
+            yield fut.result(), taken
 
 
 def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_block,
                pool):
     phi, f = _initial_planes(n_block)
     normals = _normals(pool, cfg.seed, block, cfg.n_steps, n_block)
+    caller_drawn = 0
     vec = np.empty((n_block, 12))
     buf = np.empty((9, n_block))
     sums = np.zeros((len(rec_idx), 9))
@@ -381,7 +415,9 @@ def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_bl
 
     record(0)
     for i in range(cfg.n_steps):
-        shellcov.gaussian_from_factor(factors[i], next(normals), vec)
+        z, drawn = next(normals)
+        caller_drawn += drawn
+        shellcov.gaussian_from_factor(factors[i], z, vec)
         euler_update(phi, f, shellcov.components_to_fields(vec), damps[i],
                      cfg.mode == "full")
         record(i + 1)
@@ -397,7 +433,7 @@ def _run_block(cfg: SdeConfig, x, factors, damps, rec_idx, snap_idx, block, n_bl
         raise FloatingPointError(
             f"non-finite trajectory in block {block}: {who}, moment sums first "
             f"non-finite at lam2 = {x[g]:.17g} (grid step {g})")
-    return sums, m2, snaps
+    return sums, m2, snaps, caller_drawn
 
 
 def run_ensemble(cfg: SdeConfig) -> EnsembleResult:
@@ -415,15 +451,16 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleResult:
 
     sums = np.zeros((len(rec_idx), 9))
     m2 = np.zeros((len(rec_idx), 9))
-    n_done = 0
+    n_done = caller_drawn = 0
     snap_parts: dict[int, list] = {g: [] for g in snap_idx}
     # the caller is one of the draw threads: it applies each step while the
-    # pool's threads draw the next ones
+    # pool's threads draw the next ones, and draws queued ones when it is ahead
     n_draw = draw_threads()
     with ThreadPoolExecutor(n_draw - 1) if n_draw > 1 else nullcontext() as pool:
         for b, n_block in enumerate(_blocks(cfg.n_traj, BLOCK_SIZE)):
-            s, m2_b, snaps = _run_block(cfg, x, factors, damps, rec_idx, snap_idx, b,
-                                        n_block, pool)
+            s, m2_b, snaps, drawn = _run_block(cfg, x, factors, damps, rec_idx,
+                                               snap_idx, b, n_block, pool)
+            caller_drawn += drawn
             n_done = merge_moments(sums, m2, n_done, s, m2_b, n_block)
             for g, arrs in snaps.items():
                 snap_parts[g].append(arrs)
@@ -440,7 +477,7 @@ def run_ensemble(cfg: SdeConfig) -> EnsembleResult:
             "f2": np.concatenate([p[0] for p in parts]),
             "det": np.concatenate([p[1] for p in parts]),
         }
-    return EnsembleResult(series, snapshots)
+    return EnsembleResult(series, snapshots, caller_drawn)
 
 
 def merge_moments(sums: np.ndarray, m2: np.ndarray, n: int, part_sums: np.ndarray,

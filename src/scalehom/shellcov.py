@@ -80,42 +80,61 @@ def unit_matrix() -> np.ndarray:
 
 @dataclass(frozen=True)
 class DriverCovariance:
-    """Covariance of the driver triple at one scale, per unit ``dlam2``.
+    """Covariance of the driver triple at one scale, per unit ``dlam2``, or
+    a stack of them, one per step.
 
-    The stored 12x12 ``matrix`` refers to the rescaled components
-    ``(dphi/L, grad, L*hess)`` and is free of ``L``; no raw (``L``-carrying)
-    block is formed.
+    The stored ``matrix``, 12x12 or a ``(..., 12, 12)`` stack, refers to the
+    rescaled components ``(dphi/L, grad, L*hess)`` and is free of ``L``; no
+    raw (``L``-carrying) block is formed.  ``lambda2`` names each matrix's
+    scale in error messages, a scalar or an array of the stack's shape.
     """
 
-    lambda2: float
+    lambda2: float | np.ndarray
     matrix: np.ndarray
     _eig: tuple = field(repr=False, default=None)
 
     def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues (clamped at 0) and eigenvectors of every matrix, by
+        one (batched) ``eigh``.
+
+        Raises ``FloatingPointError`` naming the lam2 of the first matrix
+        that is not PSD.
+        """
         if self._eig is None:
             w, v = np.linalg.eigh(self.matrix)
-            scale = float(w[-1])
-            if w[0] < -1e-12 * scale:
+            scale = w[..., -1]
+            k, lam2 = self._first(w[..., 0] < -1e-12 * scale)
+            if k is not None:
                 raise FloatingPointError(
-                    f"driver covariance not PSD: offending eigenvalue {w[0]:.3e} "
-                    f"(largest {scale:.3e}) at lam2 = {self.lambda2}")
+                    f"driver covariance not PSD: offending eigenvalue {w[k][0]:.3e} "
+                    f"(largest {scale[k]:.3e}) at lam2 = {lam2}")
             object.__setattr__(self, "_eig", (np.clip(w, 0.0, None), v))
         return self._eig
 
     def factor(self) -> np.ndarray:
-        """(12, RANK) factor used for sampling: the eigenvectors of the RANK
-        largest eigenvalues, scaled by their roots (clamped at 0).
+        """(..., 12, RANK) factor used for sampling: the eigenvectors of the
+        RANK largest eigenvalues, scaled by their roots (clamped at 0).
 
         Raises ``FloatingPointError`` if a dropped eigenvalue exceeds 1e-12
-        of the largest, i.e. if the law has more than RANK directions.
+        of the largest, i.e. if a law has more than RANK directions, naming
+        the lam2 of the first such matrix.
         """
         w, v = self.eigensystem()
-        dropped = float(w[-RANK - 1])
-        if dropped > 1e-12 * w[-1]:
+        dropped = w[..., -RANK - 1]
+        k, lam2 = self._first(dropped > 1e-12 * w[..., -1])
+        if k is not None:
             raise FloatingPointError(
                 f"driver covariance above rank {RANK}: dropped eigenvalue "
-                f"{dropped:.3e} (largest {w[-1]:.3e}) at lam2 = {self.lambda2}")
-        return v[:, -RANK:] * np.sqrt(w[-RANK:])
+                f"{dropped[k]:.3e} (largest {w[k][-1]:.3e}) at lam2 = {lam2}")
+        return v[..., -RANK:] * np.sqrt(w[..., None, -RANK:])
+
+    def _first(self, bad: np.ndarray):
+        """Index of the first matrix flagged in ``bad`` and its lam2, or
+        (None, None) if none is."""
+        if not np.any(bad):
+            return None, None
+        k = np.unravel_index(np.argmax(bad), bad.shape)
+        return k, float(np.broadcast_to(self.lambda2, bad.shape)[k])
 
 
 def build_cov(lambda2: float) -> DriverCovariance:
@@ -163,23 +182,25 @@ def components_to_fields(vec: np.ndarray) -> list:
     return [v[0], v[1], 0.5 * (v[2] - v[5]), v[3], v[4], *v[6:]]
 
 
-def _edge_integral(x_edge: float, span: float, eps: float, sign: float) -> float:
-    """``int e^{-2 d(s)/eps^2} / s ds`` with distance taken from one step edge.
+def _edge_integral(x_edge: np.ndarray, span: np.ndarray, eps: float,
+                   sign: float) -> np.ndarray:
+    """``int e^{-2 d(s)/eps^2} / s ds`` with distance taken from one step edge,
+    for each of the steps ``x_edge`` and ``span`` describe.
 
     ``sign = +1`` measures the decay from the right edge ``x_edge`` backwards
     (weight of the dphi reference), ``sign = -1`` from the left edge forwards
     (weight of the Hessian reference).  Substituting ``v = 2 d(s)/eps^2``
-    keeps the integrand bounded for arbitrarily large ``span/eps^2``.
+    keeps the integrand bounded for arbitrarily large ``span/eps^2``; the
+    quadrature nodes run along a new last axis, which the sum reduces.
     """
-    vmax = min(2.0 * span / eps ** 2, 60.0)
+    vmax = np.minimum(2.0 * span / eps ** 2, 60.0)[..., None]
     v = 0.5 * vmax * (_GL_NODES + 1.0)
     w = 0.5 * vmax * _GL_WEIGHTS
-    s = x_edge - sign * 0.5 * eps ** 2 * v
-    return float(np.sum(w * np.exp(-v) / s)) * eps ** 2 / 2.0
+    s = x_edge[..., None] - sign * 0.5 * eps ** 2 * v
+    return np.sum(w * np.exp(-v) / s, axis=-1) * eps ** 2 / 2.0
 
 
-def step_covariance(x_lo: float, x_hi: float, eps: float,
-                    frozen_lambda2: float | None = None) -> DriverCovariance:
+def step_covariance(x_lo, x_hi, eps: float, frozen_lambda2=None) -> DriverCovariance:
     """Exact covariance of the driver triple integrated over ``[x_lo, x_hi]``.
 
     Within a step the spectrum sweeps an annulus whose radial weight differs
@@ -194,8 +215,15 @@ def step_covariance(x_lo: float, x_hi: float, eps: float,
     across the step while the cutoff-scale weights stay exact; this
     reproduces the one-step law of the spectral field mode, whose shells
     apply a single multiplier scale (see :mod:`scalehom.fieldsim`).
+
+    The edges (and ``frozen_lambda2``) may be arrays of steps, for instance
+    ``x[:-1]`` and ``x[1:]`` of a grid: the result is then the stack of the
+    steps' laws, each bit-identical to its own scalar call, assembled and
+    factored by one batched ``eigh``.
     """
-    if not 1.0 <= x_lo < x_hi:
+    x_lo, x_hi = np.broadcast_arrays(np.asarray(x_lo, dtype=float),
+                                     np.asarray(x_hi, dtype=float))
+    if not np.all((1.0 <= x_lo) & (x_lo < x_hi)):
         raise ValueError("need 1 <= x_lo < x_hi")
     if eps <= 0.0:
         raise ValueError("eps must be positive")
@@ -208,20 +236,20 @@ def step_covariance(x_lo: float, x_hi: float, eps: float,
         i_cross = np.exp(-h) * i_grad
     else:
         i_dphi = _edge_integral(x_hi, span, eps, +1.0)
-        i_grad = float(np.log(x_hi / x_lo))
+        i_grad = np.log(x_hi / x_lo)
         i_hess = _edge_integral(x_lo, span, eps, -1.0)
         i_cross = np.exp(-span / eps ** 2) * i_grad
 
-    radial = np.empty((3, 3))
-    radial[0, 0] = i_dphi
-    radial[1, 1] = i_grad
-    radial[2, 2] = i_hess
-    radial[0, 1] = radial[1, 0] = i_grad   # entries vanish by parity
-    radial[1, 2] = radial[2, 1] = i_grad   # entries vanish by parity
-    radial[0, 2] = radial[2, 0] = i_cross
+    radial = np.empty((*x_lo.shape, 3, 3))
+    radial[..., 0, 0] = i_dphi
+    radial[..., 1, 1] = i_grad
+    radial[..., 2, 2] = i_hess
+    radial[..., 0, 1] = radial[..., 1, 0] = i_grad   # entries vanish by parity
+    radial[..., 1, 2] = radial[..., 2, 1] = i_grad   # entries vanish by parity
+    radial[..., 0, 2] = radial[..., 2, 0] = i_cross
 
     block = np.repeat([0, 1, 2], [2, 4, 6])
-    mat = unit_matrix() * radial[np.ix_(block, block)]
-    cov = DriverCovariance(x_lo, mat)
+    mat = unit_matrix() * radial[..., block[:, None], block]
+    cov = DriverCovariance(x_lo if x_lo.ndim else float(x_lo), mat)
     cov.eigensystem()
     return cov

@@ -4,6 +4,7 @@ import ast
 import inspect
 import json
 import os
+import stat
 import textwrap
 
 import numpy as np
@@ -192,10 +193,14 @@ class TestSdeRun:
         assert meta["draw_threads"] == proxysde.draw_threads() >= 1
         assert meta["normals_per_step"] == shellcov.RANK == 9
         assert meta["step_generator"] == "SFC64"
+        # one block of 20 steps: how many of them the caller drew varies
+        # from run to run
+        assert 0 <= meta["caller_drawn_steps"] <= 20
 
-    @pytest.mark.parametrize("cpus, drew", [(1, 1), (3, proxysde.DRAW_AHEAD)])
+    @pytest.mark.parametrize("cpus, drew", [(1, 1), (3, proxysde.MAX_DRAW_THREADS)])
     def test_sidecar_records_threads_that_drew(self, tmp_path, monkeypatch, cpus, drew):
-        # as many as the CPUs the process may run on, capped at DRAW_AHEAD
+        # as many as the CPUs the process may run on, capped at
+        # MAX_DRAW_THREADS; inline, the caller draws every step
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
         out = tmp_path / "out"
@@ -203,6 +208,8 @@ class TestSdeRun:
                              "--out", str(out)]) == 0
         meta = json.loads((out / "sde_series.csv.meta.json").read_text())
         assert meta["draw_threads"] == drew and "workers" not in meta
+        if cpus == 1:
+            assert meta["caller_drawn_steps"] == 20
 
     def test_csv_columns_equal_run_ensemble(self, tmp_path):
         # 17 significant digits round-trip: every column reads back as the
@@ -226,7 +233,8 @@ class TestSdeRun:
     def test_byte_identical_across_runs_and_threads(self, tmp_path, monkeypatch):
         path = small_config(tmp_path)
         outs = []
-        for name, threads in (("a", 1), ("b", proxysde.DRAW_AHEAD), ("c", 1), ("d", 2)):
+        for name, threads in (("a", 1), ("b", proxysde.MAX_DRAW_THREADS), ("c", 1),
+                              ("d", 3)):
             monkeypatch.setattr(proxysde, "draw_threads", lambda n=threads: n)
             out = tmp_path / name
             code = cli.dispatch(["sde-run", "--config", str(path), "--out", str(out)])
@@ -347,6 +355,18 @@ class TestOtherCommands:
         code = cli.dispatch(["field-run", "--config", str(path), "--out", str(out)])
         assert code in (0, 2)   # tiny run; qv_ok not asserted at this size
         assert (out / "field_moments.csv").exists()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_outputs_take_the_mode_of_a_plain_open(self, tmp_path, umask, mode):
+        # 0666 less the umask, as open() gives, not mkstemp's 0600
+        old = os.umask(umask)
+        try:
+            cli.atomic_write(tmp_path / "a.csv", "x\n")
+            cli.atomic_write(tmp_path / "b.bin", b"x")
+        finally:
+            os.umask(old)
+        for name in ("a.csv", "b.bin"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode, name
 
     def test_field_snapshot_written_atomically(self, tmp_path, monkeypatch):
         # the snapshot goes through a temporary file and a rename like every

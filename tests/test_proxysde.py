@@ -125,15 +125,50 @@ class TestEnsemble:
             proxysde.run_ensemble(cfg)
             assert workers == ([] if n == 1 else [n - 1])
 
+    def test_caller_takes_over_a_slow_drawers_steps(self, monkeypatch):
+        # draws off the caller's thread are slow, so the caller is ahead and
+        # draws queued steps itself; still every (block, step) cell is opened
+        # once, and the output is that of any other thread count
+        monkeypatch.setattr(proxysde, "BLOCK_SIZE", 4096)
+        cfg = proxysde.SdeConfig(eps=0.3, lambda2_max=2.0, n_steps=40, n_traj=10_000,
+                                 seed=3, snapshot_points=(1.5, 2.0))
+        refs = []
+        for n in (1, 3):
+            monkeypatch.setattr(proxysde, "draw_threads", lambda n=n: n)
+            refs.append(proxysde.run_ensemble(cfg))
+        assert refs[0].caller_drawn_steps == 3 * cfg.n_steps     # inline: all
+        real, caller = proxysde.stream, threading.get_ident()
+        opened = {}
+
+        def slow_stream(seed, name, block, counter):
+            opened.setdefault((block, counter), []).append(threading.get_ident())
+            if threading.get_ident() != caller:
+                time.sleep(0.005)
+            return real(seed, name, block, counter=counter)
+
+        monkeypatch.setattr(proxysde, "stream", slow_stream)
+        monkeypatch.setattr(proxysde, "draw_threads", lambda: 2)
+        res = proxysde.run_ensemble(cfg)
+        assert sorted(opened) == [(b, i) for b in range(3) for i in range(cfg.n_steps)]
+        assert all(len(who) == 1 for who in opened.values())
+        by_caller = sum(who == [caller] for who in opened.values())
+        assert by_caller >= 1 and res.caller_drawn_steps == by_caller
+        for ref in refs:
+            assert np.array_equal(ref.series.means, res.series.means)
+            assert np.array_equal(ref.series.ses, res.series.ses)
+            for pt in (1.5, 2.0):
+                for key in ("f2", "det"):
+                    assert np.array_equal(ref.snapshots[pt][key], res.snapshots[pt][key])
+
     def test_draw_threads_follow_the_affinity_mask(self, monkeypatch):
-        # the CPUs this process may run on, capped at DRAW_AHEAD; the CPU
-        # count stands in only where there is no affinity mask
-        for cpus, drew in (({0}, 1), (set(range(8)), proxysde.DRAW_AHEAD)):
+        # the CPUs this process may run on, capped at MAX_DRAW_THREADS; the
+        # CPU count stands in only where there is no affinity mask
+        for cpus, drew in (({0}, 1), (set(range(8)), proxysde.MAX_DRAW_THREADS)):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, c=cpus: c,
                                 raising=False)
             assert proxysde.draw_threads() == drew
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        for cpus, drew in ((1, 1), (8, proxysde.DRAW_AHEAD)):
+        for cpus, drew in ((1, 1), (8, proxysde.MAX_DRAW_THREADS)):
             monkeypatch.setattr(os, "cpu_count", lambda c=cpus: c)
             assert proxysde.draw_threads() == drew
 
@@ -191,7 +226,7 @@ class TestEnsemble:
         def without_cross_block(*args, **kwargs):
             cov = step_covariance(*args, **kwargs)
             mat = cov.matrix.copy()
-            mat[:2, 6:], mat[6:, :2] = 0.0, 0.0
+            mat[..., :2, 6:], mat[..., 6:, :2] = 0.0, 0.0
             return shellcov.DriverCovariance(cov.lambda2, mat)
 
         monkeypatch.setattr(proxysde.shellcov, "step_covariance", without_cross_block)

@@ -227,10 +227,11 @@ class TestSampling:
             cov.factor()
 
     def test_rejects_bad_step(self):
-        # the step law is where a non-positive step is caught
-        for x_hi in (1.4, 1.3):
-            with pytest.raises(ValueError):
-                shellcov.step_covariance(1.4, x_hi, 0.35)
+        # the step law is where a non-positive step is caught, also as one
+        # bad step among good ones
+        for x_lo, x_hi in ((1.4, 1.4), (1.4, 1.3), ([1.0, 1.2, 1.4], [1.2, 1.4, 1.4])):
+            with pytest.raises(ValueError, match="need 1 <= x_lo < x_hi"):
+                shellcov.step_covariance(np.array(x_lo), np.array(x_hi), 0.35)
 
 
 class TestStepCovariance:
@@ -267,3 +268,38 @@ class TestStepCovariance:
         got = shellcov.step_covariance(1.0, 25.0, 0.1)
         w, _ = got.eigensystem()
         assert np.all(np.isfinite(got.matrix)) and w[0] >= 0.0
+
+
+class TestBatchedStepLaw:
+    """Arrays of step edges give the stack of the per-step laws."""
+
+    @pytest.mark.parametrize("weighting", ["exact", "midpoint-frozen"])
+    def test_stack_equals_scalar_calls_bit_for_bit(self, weighting):
+        # the deep_tail grid, as run_ensemble builds its steps
+        eps = 0.2
+        x = proxysde.SdeConfig(eps=eps, lambda2_max=25.0, n_steps=1200, n_traj=1).grid()
+        lo, hi = x[:-1], x[1:]
+        frozen = 0.5 * (lo + hi) if weighting == "midpoint-frozen" else None
+        stack = shellcov.step_covariance(lo, hi, eps, frozen_lambda2=frozen)
+        fac = stack.factor()
+        assert stack.matrix.shape == (1200, 12, 12)
+        assert fac.shape == (1200, 12, shellcov.RANK)
+        for i in range(1200):
+            one = shellcov.step_covariance(
+                lo[i], hi[i], eps, frozen_lambda2=None if frozen is None else frozen[i])
+            assert np.array_equal(stack.matrix[i], one.matrix), i
+            assert np.array_equal(fac[i], one.factor()), i
+
+    def test_errors_name_the_first_bad_step(self):
+        x = np.linspace(1.0, 2.0, 11)
+        mat = shellcov.step_covariance(x[:-1], x[1:], 0.3).matrix.copy()
+        full_rank = mat.copy()
+        full_rank[4] = full_rank[7] = np.diag(np.linspace(1.0, 2.0, 12))
+        with pytest.raises(FloatingPointError,
+                           match=rf"dropped eigenvalue .* at lam2 = {float(x[4])!r}$"):
+            shellcov.DriverCovariance(x[:-1], full_rank).factor()
+        not_psd = mat.copy()
+        not_psd[6, 0, 0] = not_psd[8, 0, 0] = -1.0
+        with pytest.raises(FloatingPointError,
+                           match=rf"not PSD: .* at lam2 = {float(x[6])!r}$"):
+            shellcov.DriverCovariance(x[:-1], not_psd).eigensystem()
