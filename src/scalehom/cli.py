@@ -1,13 +1,14 @@
 """Experiment orchestration: config parsing, dispatch, and atomic outputs.
 
-Configs are plain ``key = value`` text with one section per module; unknown
-sections or keys are rejected and every value, from a file or a flag, is
-validated before any work starts.  Each command is a row of ``COMMANDS``
-whose runner computes named outputs; ``dispatch`` writes each atomically
-(CSV with 17 significant digits, JSON, or the bytes of a field snapshot)
-with a JSON sidecar carrying the config hash, versions, seed, and wall
-time.  Data files are byte-identical across runs with the same config and
-seed, on any number of CPUs; wall time lives only in the sidecars.
+Configs are plain ``key = value`` text with one section per module, read
+into a dict of sections of typed values; unknown sections or keys are
+rejected and every value, from a file or a flag, is cast once (a comma list
+to a tuple) and validated before any work starts.  Each command is a row of
+``COMMANDS`` whose runner computes named outputs; ``dispatch`` writes each
+atomically (CSV with 17 significant digits, JSON, or the bytes of a field
+snapshot) with a JSON sidecar carrying the config hash, versions, seed, and
+wall time.  Data files are byte-identical across runs with the same config
+and seed, on any number of CPUs; wall time lives only in the sidecars.
 
 Exit codes: 0 success, 1 argument/config validation failure, 2 numeric
 failure (non-convergence, non-finite states, failed acceptance criteria).
@@ -19,7 +20,6 @@ import argparse
 import configparser
 from collections import namedtuple
 import hashlib
-import io
 import json
 import os
 import sys
@@ -34,19 +34,16 @@ from . import __version__, acceptance, corrector, fieldsim, kolmogorov, \
     momentodes, particle, proxysde, shellcov
 
 
-def parse_list(raw: str, caster=float) -> list:
-    return [caster(tok.strip()) for tok in raw.split(",") if tok.strip()]
-
-
-def _entries(desc: str, caster=float, ok=lambda v: True) -> tuple:
-    """Predicate on a non-empty comma list: every entry parses and passes ``ok``."""
-    def check(raw: str) -> bool:
+def _comma_list(entry, ok, desc: str) -> tuple:
+    """Caster and predicate of a comma-list key: the caster reads the list
+    into a tuple of ``entry`` values, and an entry that does not parse makes
+    it empty, so the predicate's wording covers both faults."""
+    def cast(raw: str) -> tuple:
         try:
-            vals = parse_list(raw, caster)
+            return tuple(entry(tok) for tok in raw.split(",") if tok.strip())
         except ValueError:
-            return False
-        return bool(vals) and all(ok(v) for v in vals)
-    return desc, check
+            return ()
+    return cast, (f"a non-empty comma list of {desc}", lambda v: bool(v) and all(map(ok, v)))
 
 
 _POS = ("positive", lambda v: v > 0)
@@ -97,10 +94,8 @@ SCHEMA = {
     },
     "particle": {
         "eps": ("0.4", float, _NONNEG),
-        "l_list": ("16, 64", str, _entries("a non-empty comma list of numbers > 1",
-                                           ok=_GT1[1])),
-        "n_list": ("512, 2048", str, _entries("a non-empty comma list of powers of two",
-                                              int, _POW2[1])),
+        "l_list": ("16, 64", *_comma_list(float, _GT1[1], "numbers > 1")),
+        "n_list": ("512, 2048", *_comma_list(int, _POW2[1], "powers of two")),
         "dt": ("0.1", float, ("in (0, 0.1]", lambda v: 0 < v <= 0.1)),
         "t_end": ("250.0", float, _POS),
         "n_envs": ("12", int, _POS),
@@ -130,66 +125,47 @@ def _value(section: str, key: str, raw: str):
     return val
 
 
-class RunConfig:
-    """Validated, typed view of a sectioned key = value configuration."""
+def parse_config(text: str) -> dict:
+    """Section -> key -> typed value, every value cast and range-checked."""
+    parser = configparser.ConfigParser()
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config: {exc}") from exc
+    sections = {}
+    for section in parser.sections():
+        if section not in SCHEMA:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = [key for key in parser[section] if key not in SCHEMA[section]]
+        if unknown:
+            raise ConfigError(f"unknown key {unknown[0]!r} in section [{section}]")
+        sections[section] = {key: _value(section, key, raw)
+                             for key, raw in parser[section].items()}
+    for section, keys in SCHEMA.items():
+        missing = set(keys) - set(sections.get(section, ()))
+        if missing:
+            raise ConfigError(f"missing keys in section [{section}]: {sorted(missing)}")
+    if len(sections["particle"]["l_list"]) != len(sections["particle"]["n_list"]):
+        raise ConfigError("[particle] l_list and n_list must have equal length")
+    return sections
 
-    def __init__(self, sections: dict):
-        self.sections = sections
 
-    def __getitem__(self, section: str) -> dict:
-        return self.sections[section]
+def load_config(path: str) -> dict:
+    """``parse_config`` of the file at ``path``, or of ``DEFAULT_CONFIG`` for
+    ``"default"``."""
+    if path == "default":
+        return parse_config(DEFAULT_CONFIG)
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
+    return parse_config(text)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RunConfig) and self.sections == other.sections
 
-    @classmethod
-    def parse(cls, text: str) -> "RunConfig":
-        parser = configparser.ConfigParser()
-        try:
-            parser.read_string(text)
-        except configparser.Error as exc:
-            raise ConfigError(f"malformed config: {exc}") from exc
-        sections = {}
-        for section in parser.sections():
-            if section not in SCHEMA:
-                raise ConfigError(f"unknown section [{section}]")
-            unknown = [key for key in parser[section] if key not in SCHEMA[section]]
-            if unknown:
-                raise ConfigError(f"unknown key {unknown[0]!r} in section [{section}]")
-            sections[section] = {key: _value(section, key, raw)
-                                 for key, raw in parser[section].items()}
-        for section, keys in SCHEMA.items():
-            missing = set(keys) - set(sections.get(section, ()))
-            if missing:
-                raise ConfigError(
-                    f"missing keys in section [{section}]: {sorted(missing)}")
-        part = sections["particle"]
-        if len(parse_list(part["l_list"])) != len(parse_list(part["n_list"])):
-            raise ConfigError("[particle] l_list and n_list must have equal length")
-        return cls(sections)
-
-    @classmethod
-    def load(cls, path: str) -> "RunConfig":
-        if path == "default":
-            return cls.parse(DEFAULT_CONFIG)
-        try:
-            text = Path(path).read_text()
-        except OSError as exc:
-            raise ConfigError(str(exc)) from exc
-        return cls.parse(text)
-
-    def dumps(self) -> str:
-        parser = configparser.ConfigParser()
-        for section, keys in self.sections.items():
-            parser[section] = {k: repr(v) if isinstance(v, float) else str(v)
-                               for k, v in keys.items()}
-        buf = io.StringIO()
-        parser.write(buf)
-        return buf.getvalue()
-
-    def sha256(self) -> str:
-        payload = json.dumps(self.sections, sort_keys=True, default=repr)
-        return hashlib.sha256(payload.encode()).hexdigest()
+def config_sha256(sections: dict) -> str:
+    """Hash of the typed values, so the text's spacing does not enter it."""
+    payload = json.dumps(sections, sort_keys=True, default=repr)
+    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def atomic_write(path: Path, data: str | bytes) -> None:
@@ -223,9 +199,9 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, default=lambda v: v.item()) + "\n"
 
 
-def write_sidecar(path: Path, cfg: RunConfig, seed: int, wall_s: float,
+def write_sidecar(path: Path, cfg: dict, seed: int, wall_s: float,
                   extra: dict | None = None) -> None:
-    payload = {"config_sha256": cfg.sha256(), "scalehom_version": __version__,
+    payload = {"config_sha256": config_sha256(cfg), "scalehom_version": __version__,
                "numpy_version": np.__version__, "scipy_version": scipy.__version__,
                "seed": seed, "wall_time_s": wall_s, **(extra or {})}
     atomic_write(path.with_suffix(path.suffix + ".meta.json"), _json_text(payload))
@@ -340,7 +316,7 @@ def run_corrector(sec, seed):
 
 
 def run_particle(sec, seed):
-    ls, ns = parse_list(sec["l_list"]), parse_list(sec["n_list"], int)
+    ls, ns = sec["l_list"], sec["n_list"]
     times = particle.default_sample_times(sec["dt"], sec["t_end"])
     outputs, estimates = {}, []
     for i, (l_max, n) in enumerate(zip(ls, ns)):
@@ -401,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _override(cfg: RunConfig, section: str, keys, args) -> dict:
+def _override(cfg: dict, section: str, keys, args) -> dict:
     """Copy of ``cfg[section]`` with the given flags applied; ``cfg`` itself,
     and so the sidecar's config hash, stays as loaded."""
     sec = dict(cfg[section])
@@ -418,7 +394,7 @@ def dispatch(argv: list[str]) -> int:
         return 1 if exc.code not in (0, None) else 0
     cmd = COMMANDS[args.command]
     try:
-        cfg = RunConfig.load(args.config)
+        cfg = load_config(args.config)
         run = _override(cfg, "run", ("seed", "out_dir"), args)
         sec = _override(cfg, cmd.section, cmd.flags, args) if cmd.section else None
         out = Path(run["out_dir"])

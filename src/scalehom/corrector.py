@@ -83,7 +83,7 @@ def solve_corrector(coef: ShellField, xi, tol: float = 1e-8) -> CorrectorSolutio
     with the residual history if neither the Krylov iteration nor the damped
     fixed-point fallback converges.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     xi = np.asarray(xi, dtype=float)
     grid = coef.grid

@@ -52,7 +52,7 @@ class TorusGrid:
     def __post_init__(self):
         if self.n < 2 or self.n & (self.n - 1):
             raise ValueError("n must be a power of two")
-        if self.box_len <= 0.0:
+        if not self.box_len > 0.0:
             raise ValueError("box_len must be positive")
 
     @property
@@ -264,7 +264,7 @@ class FieldConfig:
     shell_ratio: ClassVar[float] = 2.0 ** 0.25
 
     def __post_init__(self):
-        if self.eps <= 0.0:
+        if not self.eps > 0.0:
             raise ValueError("eps must be positive")
 
     def shells(self) -> np.ndarray:

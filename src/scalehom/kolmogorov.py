@@ -91,7 +91,7 @@ class TailConfig:
     regime_margin: float = 0.5
 
     def __post_init__(self):
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:
             raise ValueError("tau must be positive")
 
     def grid(self) -> np.ndarray:
@@ -123,7 +123,7 @@ def evolve(profile: TailProfile, dtau: float) -> TailProfile:
     Rejects grids that under-resolve the kernel (std < 2 spacings); pads by
     edge replication.
     """
-    if dtau <= 0.0:
+    if not dtau > 0.0:
         raise ValueError("dtau must be positive")
     h = float(profile.sigma[1] - profile.sigma[0])
     std = np.sqrt(dtau / 2.0)

@@ -123,7 +123,7 @@ class MomentTable:
 def integrate_moments(eps: float, x_end: float, closure: ClosureSource,
                       x_eval: np.ndarray | None = None) -> MomentTable:
     """Adaptive embedded Runge-Kutta integration of the moment system."""
-    if x_end <= 1.0:
+    if not x_end > 1.0:
         raise ValueError("x_end must exceed 1")
     if x_eval is None:
         x_eval = np.linspace(1.0, x_end, 201)
@@ -144,7 +144,7 @@ def _shifted_quad(fn, upper: float) -> float:
 
 def exact_a(x: float, eps: float) -> float:
     """Closed-form E|phi|^2 / L^2 via quadrature of the exponent-shifted integral."""
-    if x < 1.0:
+    if not x >= 1.0:
         raise ValueError("x must be >= 1")
     if x == 1.0:
         return 0.0
@@ -156,7 +156,7 @@ def exact_a(x: float, eps: float) -> float:
 
 def exact_b(x: float, eps: float) -> float:
     """Closed-form E|phi|^4 / L^4: nested exponent-shifted quadrature."""
-    if x < 1.0:
+    if not x >= 1.0:
         raise ValueError("x must be >= 1")
     if x == 1.0:
         return 0.0
@@ -173,7 +173,7 @@ def exact_b(x: float, eps: float) -> float:
 
 def exact_big_a(x: float, eps: float) -> float:
     """Closed-form E|F|^2 (no L factors; always directly representable)."""
-    if x < 1.0:
+    if not x >= 1.0:
         raise ValueError("x must be >= 1")
     if x == 1.0:
         return 2.0
@@ -242,7 +242,7 @@ def envelope(eps: float, x_end: float) -> Envelope:
     the lower branch does the opposite; at eps = 0 both collapse onto the
     closed-form solution (8/3) x^{3/2} + 4/3 with C = 1.
     """
-    if x_end <= 1.0:
+    if not x_end > 1.0:
         raise ValueError("x_end must exceed 1")
     cst = envelope_constants(min(eps, 1.0))
     m_b, kappa_c = cst["m_b"], cst["kappa_c"]

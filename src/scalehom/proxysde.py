@@ -135,13 +135,13 @@ class SdeConfig:
     def __post_init__(self):
         if self.n_steps < 1 or self.n_traj < 1:
             raise ValueError("n_steps and n_traj must be positive")
-        if self.lambda2_max <= 1.0:
+        if not self.lambda2_max > 1.0:
             raise ValueError("lambda2_max must exceed 1")
         if self.mode not in ("full", "exp"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.lambda2_weighting not in ("exact", "midpoint-frozen"):
             raise ValueError(f"unknown weighting {self.lambda2_weighting!r}")
-        if self.eps <= 0.0:
+        if not self.eps > 0.0:
             raise ValueError("eps must be positive")
 
     def grid(self) -> np.ndarray:

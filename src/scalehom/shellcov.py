@@ -139,7 +139,7 @@ class DriverCovariance:
 
 def build_cov(lambda2: float) -> DriverCovariance:
     """Per-unit-``dlam2`` covariance of the rescaled driver triple (free of eps)."""
-    if lambda2 < 1.0:
+    if not lambda2 >= 1.0:
         raise ValueError("lambda2 must be >= 1")
     cov = DriverCovariance(lambda2, unit_matrix() / lambda2)
     cov.eigensystem()
@@ -225,7 +225,7 @@ def step_covariance(x_lo, x_hi, eps: float, frozen_lambda2=None) -> DriverCovari
                                      np.asarray(x_hi, dtype=float))
     if not np.all((1.0 <= x_lo) & (x_lo < x_hi)):
         raise ValueError("need 1 <= x_lo < x_hi")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     span = x_hi - x_lo
     if frozen_lambda2 is not None:
